@@ -35,11 +35,9 @@ type Sim struct {
 	Inlet       float64
 	Seed        uint64
 	TracePath   string
-	// Engine flags select the tick-loop execution engine; every engine
-	// produces bit-identical results (see sim.EngineConfig).
-	Engine        string
-	EngineWorkers int
-	EngineStride  string
+	// Engine selects the tick-loop execution engine; both engines produce
+	// bit-identical results (see sim.EngineConfig).
+	Engine string
 	// Snapshot flags wire run snapshots (sim.Snapshot/Restore): save the
 	// state at end of warmup, or warm-start from a saved capture.
 	SnapshotSave string
@@ -79,11 +77,7 @@ func AddSim(fs *flag.FlagSet, d SimDefaults) *Sim {
 	fs.StringVar(&s.TracePath, "trace", "",
 		"replay a recorded trace file (see cmd/tracegen) instead of the live generator")
 	fs.StringVar(&s.Engine, "engine", "",
-		"tick-loop engine: auto, serial, parallel, or event (bit-identical results; default auto)")
-	fs.IntVar(&s.EngineWorkers, "engine.workers", 0,
-		"parallel engine worker count (0 = number of CPUs)")
-	fs.StringVar(&s.EngineStride, "engine.stride", "",
-		"event-horizon striding through idle tails: auto, on, or off (default auto)")
+		"tick-loop engine: event or serial, the reference (bit-identical results; default event)")
 	fs.StringVar(&s.SnapshotSave, "snapshot.save", "",
 		"write a full-state snapshot at the end of warmup to this file, then finish the run")
 	fs.StringVar(&s.SnapshotLoad, "snapshot.load", "",
@@ -137,12 +131,6 @@ func (s *Sim) Resolve() (*scenario.Scenario, uint64, error) {
 	}
 	if use("engine") && s.Engine != "" {
 		sc.Engine.Mode = s.Engine
-	}
-	if use("engine.workers") && s.EngineWorkers != 0 {
-		sc.Engine.Workers = s.EngineWorkers
-	}
-	if use("engine.stride") && s.EngineStride != "" {
-		sc.Engine.Stride = s.EngineStride
 	}
 	if s.SnapshotSave != "" {
 		sc.Snapshot.Save = s.SnapshotSave

@@ -2,8 +2,10 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -110,19 +112,19 @@ func TestResolveTraceResetsDuration(t *testing.T) {
 	}
 }
 
-// The -engine flag family reaches the scenario's Engine block, and the
-// scenario's own engine settings survive when the flags are left unset.
+// The -engine flag reaches the scenario's Engine block, and the scenario's
+// own engine mode survives when the flag is left unset.
 func TestResolveEngineFlags(t *testing.T) {
 	fs, s := newSimSet(t)
-	if err := fs.Parse([]string{"-engine", "parallel", "-engine.workers", "4", "-engine.stride", "off"}); err != nil {
+	if err := fs.Parse([]string{"-engine", "serial"}); err != nil {
 		t.Fatal(err)
 	}
 	sc, _, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Engine.Mode != "parallel" || sc.Engine.Workers != 4 || sc.Engine.Stride != "off" {
-		t.Errorf("engine block = %+v, want parallel/4/off", sc.Engine)
+	if sc.Engine.Mode != "serial" {
+		t.Errorf("engine block = %+v, want serial", sc.Engine)
 	}
 
 	path := filepath.Join(t.TempDir(), "eng.jsonc")
@@ -131,7 +133,7 @@ func TestResolveEngineFlags(t *testing.T) {
   "name": "engine-scenario",
   "topology": {"rows": 2, "lanes": 1, "depth": 2},
   "scheduler": {"name": "Random"},
-  "engine": {"mode": "serial", "stride": "off"}
+  "engine": {"mode": "serial"}
 }`
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -144,22 +146,53 @@ func TestResolveEngineFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc2.Engine.Mode != "serial" || sc2.Engine.Stride != "off" {
+	if sc2.Engine.Mode != "serial" {
 		t.Errorf("scenario engine block overridden by unset flags: %+v", sc2.Engine)
 	}
 
 	fs3, s3 := newSimSet(t)
-	if err := fs3.Parse([]string{"-scenario", path, "-engine", "auto"}); err != nil {
+	if err := fs3.Parse([]string{"-scenario", path, "-engine", "event"}); err != nil {
 		t.Fatal(err)
 	}
 	sc3, _, err := s3.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc3.Engine.Mode != "auto" {
+	if sc3.Engine.Mode != "event" {
 		t.Errorf("explicit -engine did not override the scenario: %+v", sc3.Engine)
 	}
-	if sc3.Engine.Stride != "off" {
-		t.Errorf("unset -engine.stride clobbered the scenario: %+v", sc3.Engine)
+}
+
+// The flags and modes removed with the intra-run tick pool fail closed:
+// -engine.workers and -engine.stride are no longer defined, and the old
+// -engine auto/parallel values fail validation naming the surviving modes.
+func TestRemovedEngineFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-engine.workers", "4"},
+		{"-engine.stride", "off"},
+	} {
+		fs, _ := newSimSet(t)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("parse accepted removed flag %v", args)
+		}
+	}
+	for _, mode := range []string{"auto", "parallel"} {
+		fs, s := newSimSet(t)
+		if err := fs.Parse([]string{"-engine", mode}); err != nil {
+			t.Fatal(err)
+		}
+		sc, _, err := s.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sc.Validate()
+		if err == nil {
+			t.Errorf("-engine %s passed validation", mode)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "event") || !strings.Contains(msg, "serial") {
+			t.Errorf("-engine %s: error %q does not name the surviving modes", mode, msg)
+		}
 	}
 }

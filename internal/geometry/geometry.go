@@ -209,30 +209,33 @@ func (s *Server) Downstream(id SocketID) []SocketID {
 	return out
 }
 
-// Neighbors returns sockets adjacent to id: the same lane one position up or
-// down the flow, the adjacent lane at the same position, and the adjacent
-// rows at the same position. This is the neighborhood the Coolest-Neighbors
-// scheduler inspects.
-func (s *Server) Neighbors(id SocketID) []SocketID {
+// AppendNeighbors appends the sockets adjacent to id to dst and returns the
+// extended slice: the same lane one position up and down the flow, the
+// adjacent lanes at the same position, and the adjacent rows at the same
+// position, in that order. This is the neighborhood the Coolest-Neighbors
+// scheduler inspects. A socket has at most six neighbors, so a caller that
+// passes an empty slice of a [6]SocketID buffer never allocates.
+func (s *Server) AppendNeighbors(dst []SocketID, id SocketID) []SocketID {
 	sk := s.sockets[id]
-	var out []SocketID
 	if sk.Pos > 0 {
-		out = append(out, s.SocketAt(sk.Row, sk.Lane, sk.Pos-1).ID)
+		dst = append(dst, s.SocketAt(sk.Row, sk.Lane, sk.Pos-1).ID)
 	}
 	if sk.Pos < s.Depth-1 {
-		out = append(out, s.SocketAt(sk.Row, sk.Lane, sk.Pos+1).ID)
+		dst = append(dst, s.SocketAt(sk.Row, sk.Lane, sk.Pos+1).ID)
 	}
-	for _, dl := range []int{-1, 1} {
-		if l := sk.Lane + dl; l >= 0 && l < s.Lanes {
-			out = append(out, s.SocketAt(sk.Row, l, sk.Pos).ID)
-		}
+	if sk.Lane > 0 {
+		dst = append(dst, s.SocketAt(sk.Row, sk.Lane-1, sk.Pos).ID)
 	}
-	for _, dr := range []int{-1, 1} {
-		if r := sk.Row + dr; r >= 0 && r < s.Rows {
-			out = append(out, s.SocketAt(r, sk.Lane, sk.Pos).ID)
-		}
+	if sk.Lane < s.Lanes-1 {
+		dst = append(dst, s.SocketAt(sk.Row, sk.Lane+1, sk.Pos).ID)
 	}
-	return out
+	if sk.Row > 0 {
+		dst = append(dst, s.SocketAt(sk.Row-1, sk.Lane, sk.Pos).ID)
+	}
+	if sk.Row < s.Rows-1 {
+		dst = append(dst, s.SocketAt(sk.Row+1, sk.Lane, sk.Pos).ID)
+	}
+	return dst
 }
 
 // RowSockets returns all sockets of one row in ID order.

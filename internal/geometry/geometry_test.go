@@ -2,6 +2,7 @@ package geometry
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"densim/internal/chipmodel"
@@ -113,12 +114,19 @@ func TestUpstreamDownstream(t *testing.T) {
 
 func TestNeighbors(t *testing.T) {
 	s := SUT()
-	// Interior socket: 2 along flow + 1 lane + 2 rows = 5 neighbors.
-	if got := len(s.Neighbors(s.SocketAt(7, 0, 3).ID)); got != 5 {
-		t.Errorf("interior neighbors = %d, want 5", got)
+	// Interior socket: 2 along flow + 1 lane + 2 rows = 5 neighbors, in
+	// flow, lane, row order (CN sums their temperatures in this order).
+	got := s.AppendNeighbors(nil, s.SocketAt(7, 0, 3).ID)
+	want := []SocketID{
+		s.SocketAt(7, 0, 2).ID, s.SocketAt(7, 0, 4).ID,
+		s.SocketAt(7, 1, 3).ID,
+		s.SocketAt(6, 0, 3).ID, s.SocketAt(8, 0, 3).ID,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("interior neighbors = %v, want %v", got, want)
 	}
 	// Corner socket (row 0, lane 0, pos 0): 1 flow + 1 lane + 1 row = 3.
-	if got := len(s.Neighbors(s.SocketAt(0, 0, 0).ID)); got != 3 {
+	if got := len(s.AppendNeighbors(nil, s.SocketAt(0, 0, 0).ID)); got != 3 {
 		t.Errorf("corner neighbors = %d, want 3", got)
 	}
 }

@@ -221,11 +221,7 @@ func (s *Scenario) Config(seed uint64) (sim.Config, error) {
 			Period: units.Seconds(s.Scheduler.MigrationPeriodS),
 			Cost:   units.Seconds(s.Scheduler.MigrationCostS),
 		},
-		Engine: sim.EngineConfig{
-			Mode:    s.Engine.Mode,
-			Workers: s.Engine.Workers,
-			Stride:  s.Engine.Stride,
-		},
+		Engine: sim.EngineConfig{Mode: s.Engine.Mode},
 	}
 	if spec, err := s.Faults.Spec(); err != nil {
 		return sim.Config{}, err

@@ -20,6 +20,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"densim/internal/sim"
 )
 
 // CurrentVersion is the scenario format version this package reads and
@@ -44,9 +46,9 @@ type Scenario struct {
 	Workload  Workload  `json:"workload,omitempty"`
 	Scheduler Scheduler `json:"scheduler,omitempty"`
 	Run       Run       `json:"run,omitempty"`
-	// Engine selects the tick-loop execution engine. Every engine produces
-	// bit-identical results (the equivalence suite enforces it); the knob
-	// trades fixed overheads against intra-run scaling.
+	// Engine selects the tick-loop execution engine. Both engines produce
+	// bit-identical results (the equivalence suite enforces it); serial is
+	// the slower reference the event engine is checked against.
 	Engine Engine `json:"engine,omitempty"`
 	// Snapshot wires run snapshots (sim.Snapshot/Restore) into the run:
 	// save the state at the end of warmup, or start from a saved capture
@@ -177,16 +179,23 @@ type Run struct {
 
 // Engine selects how a run's tick loop executes (sim.EngineConfig).
 type Engine struct {
-	// Mode is "auto" (default when empty), "serial" — the pristine
-	// reference sweep — "parallel", which engages the lane-sharded
-	// worker pool, or "event", which adds unified-event-queue gap
-	// advancing on top of the incremental engine.
+	// Mode is "event" (default when empty) or "serial", the pristine
+	// reference sweep. Both produce bit-identical results; sim.EngineConfig
+	// validates the value.
 	Mode string `json:"mode,omitempty"`
-	// Workers sets the parallel pool size; 0 lets the runtime decide.
-	Workers int `json:"workers,omitempty"`
-	// Stride is "auto" (default when empty), "on", or "off": event-horizon
-	// striding through dead idle tails.
-	Stride string `json:"stride,omitempty"`
+}
+
+// UnmarshalJSON decodes the engine block strictly and names the surviving
+// modes on failure, so a file still carrying the removed workers or stride
+// fields points its author at the fix.
+func (e *Engine) UnmarshalJSON(b []byte) error {
+	type plain Engine
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode((*plain)(e)); err != nil {
+		return fmt.Errorf("engine: %w (the block takes only mode: event or serial)", err)
+	}
+	return nil
 }
 
 // Snapshot connects a run to the snapshot format of internal/sim: a
@@ -258,14 +267,8 @@ func (s *Scenario) Validate() error {
 	if r := s.Run; r.DurationS > 0 && r.WarmupS >= r.DurationS {
 		return fmt.Errorf("scenario %q: warmup %vs outside [0, duration %vs)", s.Name, s.Run.WarmupS, s.Run.DurationS)
 	}
-	if e := s.Engine; !engineModes[e.Mode] {
-		return fmt.Errorf("scenario %q: unknown engine mode %q (have auto, serial, parallel, event)", s.Name, e.Mode)
-	}
-	if e := s.Engine; !engineStrides[e.Stride] {
-		return fmt.Errorf("scenario %q: unknown engine stride %q (have auto, on, off)", s.Name, e.Stride)
-	}
-	if s.Engine.Workers < 0 {
-		return fmt.Errorf("scenario %q: negative engine workers %d", s.Name, s.Engine.Workers)
+	if err := (sim.EngineConfig{Mode: s.Engine.Mode}).Validate(); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	if s.Snapshot.Save != "" && s.Snapshot.Load != "" {
 		return fmt.Errorf("scenario %q: snapshot save and load are mutually exclusive", s.Name)
@@ -274,15 +277,6 @@ func (s *Scenario) Validate() error {
 		return err
 	}
 	return s.validateFleet()
-}
-
-// engineModes and engineStrides list the accepted Engine enum values.
-var engineModes = map[string]bool{
-	"": true, "auto": true, "serial": true, "parallel": true, "event": true,
-}
-
-var engineStrides = map[string]bool{
-	"": true, "auto": true, "on": true, "off": true,
 }
 
 // Decode reads one scenario from r: JSON with // line comments, unknown

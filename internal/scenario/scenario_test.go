@@ -47,7 +47,7 @@ func TestFullRoundTrip(t *testing.T) {
 		Workload:  Workload{Class: "Storage", Load: 0.75, Trace: "jobs.dstr"},
 		Scheduler: Scheduler{Name: "Random", Seed: 42, MigrationPeriodS: 0.5, MigrationCostS: 0.001},
 		Run:       Run{Seeds: []uint64{3, 4}, DurationS: 12, WarmupS: 2, TickPeriodS: 0.002, SinkTauS: 5, ChipTauS: 0.01, DrainLimitS: 30},
-		Engine:    Engine{Mode: "parallel", Workers: 4, Stride: "off"},
+		Engine:    Engine{Mode: "serial"},
 		Checks:    true,
 		Telemetry: true,
 	}
@@ -83,6 +83,34 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Decode(strings.NewReader(src)); err == nil {
 			t.Errorf("decode accepted unknown field in %s", src)
+		}
+	}
+}
+
+// TestDecodeRejectsRemovedEngineValues: the engine modes and fields removed
+// with the intra-run tick pool fail closed, and the error names the two
+// surviving modes so an old file points its author at the fix.
+func TestDecodeRejectsRemovedEngineValues(t *testing.T) {
+	for _, engine := range []string{
+		`{"mode":"auto"}`,
+		`{"mode":"parallel"}`,
+		`{"workers":2}`,
+		`{"stride":"on"}`,
+	} {
+		src := `{"version":1,"name":"x","topology":{"preset":"sut"},"engine":` + engine + `}`
+		_, err := Decode(strings.NewReader(src))
+		if err == nil {
+			t.Errorf("decode accepted removed engine value %s", engine)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "event") || !strings.Contains(msg, "serial") {
+			t.Errorf("engine %s: error %q does not name the surviving modes", engine, msg)
+		}
+	}
+	for _, mode := range []string{"", "event", "serial"} {
+		src := `{"version":1,"name":"x","topology":{"preset":"sut"},"engine":{"mode":"` + mode + `"}}`
+		if _, err := Decode(strings.NewReader(src)); err != nil {
+			t.Errorf("engine mode %q rejected: %v", mode, err)
 		}
 	}
 }
@@ -137,8 +165,6 @@ func TestValidateRejects(t *testing.T) {
 		{"negative run field", func(s *Scenario) { s.Run.SinkTauS = -1 }},
 		{"warmup past duration", func(s *Scenario) { s.Run.DurationS = 5; s.Run.WarmupS = 5 }},
 		{"unknown engine mode", func(s *Scenario) { s.Engine.Mode = "turbo" }},
-		{"unknown engine stride", func(s *Scenario) { s.Engine.Stride = "yes" }},
-		{"negative engine workers", func(s *Scenario) { s.Engine.Workers = -2 }},
 	}
 	for _, tc := range cases {
 		sc, err := Preset("sut-180")

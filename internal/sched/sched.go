@@ -207,7 +207,8 @@ func (CoolestNeighbors) Pick(s State, _ *job.Job, idle []geometry.SocketID) geom
 	return argBest(idle, func(id geometry.SocketID) float64 {
 		own := float64(s.SocketTemp(id))
 		var nsum float64
-		neigh := srv.Neighbors(id)
+		var buf [6]geometry.SocketID
+		neigh := srv.AppendNeighbors(buf[:0], id)
 		for _, n := range neigh {
 			nsum += float64(s.SocketTemp(n))
 		}

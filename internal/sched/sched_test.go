@@ -49,8 +49,8 @@ func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
 	return fs
 }
 
-func (f *fakeState) Server() *geometry.Server                          { return f.srv }
-func (f *fakeState) Airflow() *airflow.Model                           { return f.af }
+func (f *fakeState) Server() *geometry.Server { return f.srv }
+func (f *fakeState) Airflow() *airflow.Model  { return f.af }
 func (f *fakeState) LeakageAt(geometry.SocketID) chipmodel.Leakage {
 	return chipmodel.NewLeakage(workload.TDP)
 }
@@ -158,13 +158,27 @@ func TestCNAvoidsHotNeighborhood(t *testing.T) {
 	a := srv.SocketAt(5, 0, 2).ID
 	b := srv.SocketAt(10, 0, 2).ID
 	fs.chip[a] = 20
-	for _, n := range srv.Neighbors(a) {
+	for _, n := range srv.AppendNeighbors(nil, a) {
 		fs.chip[n] = 90
 	}
 	fs.chip[b] = 22
 	idle := []geometry.SocketID{a, b}
 	if got := (CoolestNeighbors{}).Pick(fs, compJob(), idle); got != b {
 		t.Errorf("CN picked %d (hot neighborhood), want %d", got, b)
+	}
+}
+
+// CN scores every idle socket's neighborhood on every pick, so its pick
+// must gather neighbors into stack scratch rather than a fresh slice.
+func TestCNPickDoesNotAllocate(t *testing.T) {
+	srv := geometry.SUT()
+	fs := newFakeState(t, srv)
+	idle := idleSet(srv)
+	j := compJob()
+	if allocs := testing.AllocsPerRun(20, func() {
+		(CoolestNeighbors{}).Pick(fs, j, idle)
+	}); allocs != 0 {
+		t.Errorf("CoolestNeighbors.Pick allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -164,7 +164,7 @@ func TestSettledTickDoesNotAllocate(t *testing.T) {
 	// A Probe would disable striding (resolveEngine), so step the run with
 	// RunTo instead and measure once the engine reports an all-settled
 	// state — the busy plateau of settledConfig's t=0 batch.
-	s, err := New(settledConfig(t, EngineConfig{Mode: EngineAuto, Stride: StrideOn}, nil))
+	s, err := New(settledConfig(t, EngineConfig{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,34 +184,5 @@ func TestSettledTickDoesNotAllocate(t *testing.T) {
 		s.powerManagerTick(tick)
 	}); allocs != 0 {
 		t.Errorf("settled powerManagerTick allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestTickPathAllocFreeParallelEngine re-measures the power-manager tick
-// with the lane-sharded worker pool engaged: waking the workers, the
-// sharded sweep, the barrier, and the post-barrier event replay must all
-// run without a single steady-state allocation, same as the serial path.
-func TestTickPathAllocFreeParallelEngine(t *testing.T) {
-	cfg := smallConfig("CP", 0.9, workload.Computation)
-	cfg.Engine = EngineConfig{Mode: EngineParallel, Workers: 2}
-	measured := false
-	cfg.Probe = func(s *Simulator, now units.Seconds) {
-		if measured || now < 1.0 {
-			return
-		}
-		measured = true
-		if s.eng.pool == nil {
-			t.Fatal("worker pool not engaged despite parallel mode")
-		}
-		tick := s.cfg.TickPeriod
-		if allocs := testing.AllocsPerRun(50, func() {
-			s.powerManagerTick(tick)
-		}); allocs != 0 {
-			t.Errorf("parallel powerManagerTick allocates %.1f objects/op, want 0", allocs)
-		}
-	}
-	_, s := runOne(t, cfg)
-	if !measured {
-		t.Fatalf("probe never fired (arrived=%d)", s.Arrived())
 	}
 }

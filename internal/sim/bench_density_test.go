@@ -35,7 +35,7 @@ func benchServer(b *testing.B, name string) *geometry.Server {
 
 // benchRunServer is benchRun on an arbitrary topology: one simulated second
 // at the given load, Computation mix, SUT airflow parameters, under the
-// given execution engine (zero value = the auto default).
+// given execution engine (zero value = the default event engine).
 func benchRunServer(b *testing.B, srv *geometry.Server, schedName string, load float64, eng EngineConfig) {
 	b.Helper()
 	b.ReportAllocs()
@@ -69,9 +69,9 @@ func benchRunServer(b *testing.B, srv *geometry.Server, schedName string, load f
 
 // The density family: half-density-90 (DoC 3) and double-density-360
 // (DoC 12), so the whole Table I sweep is on the perf radar, not just the
-// 180-socket SUT. The bare names run the auto engine (what users get); the
-// Serial/Parallel suffixes pin the engine so the incremental-vs-dense and
-// sharded-vs-inline deltas are measurable in isolation.
+// 180-socket SUT. The bare names run the default event engine (what users
+// get); the Serial suffix pins the reference so the event engine's delta is
+// measurable in isolation (scripts/bench.sh smoke gates it).
 func BenchmarkSimSecondHD90CF90(b *testing.B) {
 	benchRunServer(b, benchServer(b, "hd90"), "CF", 0.9, EngineConfig{})
 }
@@ -94,34 +94,12 @@ func BenchmarkSimSecondDD360CP90Serial(b *testing.B) {
 func BenchmarkSimSecondDD360CF90Serial(b *testing.B) {
 	benchRunServer(b, benchServer(b, "dd360"), "CF", 0.9, EngineConfig{Mode: EngineSerial})
 }
-func BenchmarkSimSecondDD360CP90Parallel(b *testing.B) {
-	benchRunServer(b, benchServer(b, "dd360"), "CP", 0.9, EngineConfig{Mode: EngineParallel})
-}
-func BenchmarkSimSecondDD360CF90Parallel(b *testing.B) {
-	benchRunServer(b, benchServer(b, "dd360"), "CF", 0.9, EngineConfig{Mode: EngineParallel})
-}
-func BenchmarkSimSecondDD360CP90Event(b *testing.B) {
-	benchRunServer(b, benchServer(b, "dd360"), "CP", 0.9, EngineConfig{Mode: EngineEvent})
-}
 
 // BenchmarkSimSecondDD360CP90Burst isolates the arrival/completion event path
 // the busy knee stresses: a burst of 90 short jobs slams the double-density
 // system every 50 ms, so the run is dominated by queueing, placement picks,
-// and completions rather than by long thermal plateaus. The auto engine runs
-// it; compare against the Event suffix below to see what the unified event
-// queue buys (or costs) when events, not settles, dominate.
+// and completions rather than by long thermal plateaus.
 func BenchmarkSimSecondDD360CP90Burst(b *testing.B) {
-	benchBurst(b, EngineConfig{})
-}
-
-// BenchmarkSimSecondDD360CP90BurstEvent is the burst run with the event
-// engine pinned.
-func BenchmarkSimSecondDD360CP90BurstEvent(b *testing.B) {
-	benchBurst(b, EngineConfig{Mode: EngineEvent})
-}
-
-func benchBurst(b *testing.B, eng EngineConfig) {
-	b.Helper()
 	b.ReportAllocs()
 	srv := benchServer(b, "dd360")
 	bench := workload.ByClass(workload.Computation)[0]
@@ -146,7 +124,6 @@ func benchBurst(b *testing.B, eng EngineConfig) {
 			Duration:  1,
 			Warmup:    0.1,
 			SinkTau:   1,
-			Engine:    eng,
 		}
 		s, err := New(cfg)
 		if err != nil {
@@ -160,7 +137,7 @@ func benchBurst(b *testing.B, eng EngineConfig) {
 
 // BenchmarkSimSecondIdleSerial pins the pristine serial engine on the idle
 // SUT run: the pre-engine baseline that the event-horizon stride in
-// BenchmarkSimSecondIdle (auto engine) is measured against in
+// BenchmarkSimSecondIdle (default engine) is measured against in
 // BENCH_PR5.json.
 func BenchmarkSimSecondIdleSerial(b *testing.B) {
 	benchRunServer(b, geometry.SUT(), "CF", 0, EngineConfig{Mode: EngineSerial})

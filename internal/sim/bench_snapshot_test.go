@@ -89,7 +89,7 @@ func BenchmarkSimSecondDD360CP90WarmFork(b *testing.B) {
 // second: a batch of long jobs at t=0 with aggressively short time
 // constants, so the thermal field reaches a bit-exact fixed point early and
 // holds it while the sockets stay busy. Compare the Serial pin against the
-// bare (auto) name to isolate what skipping the settled sweeps is worth.
+// bare (default) name to isolate what skipping the settled sweeps is worth.
 func benchSettledPlateau(b *testing.B, eng EngineConfig) {
 	b.Helper()
 	b.ReportAllocs()

@@ -1,39 +1,40 @@
 package sim
 
 // The execution engine: how one run's tick loop is executed, independently
-// of what it computes. Three mechanisms live here, all bit-exact by
-// construction (the golden digests and the pick-sequence determinism
-// property are the oracle):
+// of what it computes. Two engines exist, bit-identical by construction
+// (the golden digests and the equivalence matrix are the oracle):
 //
-//   - Dirty-lane incremental advection. The airflow network is independent
+//   - serial: the pristine reference path, kept as the oracle the
+//     equivalence tests compare the event engine against. Dense ambient
+//     recompute every tick, ascending-ID sweep, no skips.
+//
+//   - event (the default): the same sweep with three exact shortcuts.
+//
+//     Dirty-lane incremental advection. The airflow network is independent
 //     per channel (row x lane), so a channel whose socket powers are
 //     bit-unchanged since its last ambient recompute would recompute the
 //     exact same ambients — the engine skips it (ε = 0: the skip criterion
 //     is value equality, not a tolerance). All power writes funnel through
 //     Simulator.setPower, which marks the owning channel dirty on change.
 //
-//   - Lane-sharded parallel tick. Given the tick-start powers vector, the
-//     per-socket thermal/DVFS sweep touches only its own channel's state,
-//     so contiguous channel ranges are sharded across a persistent worker
-//     pool. Workers defer the two shared-state effects — completion-heap
-//     refreshes and throttle telemetry — into per-worker buffers that the
-//     coordinator replays in ascending socket order after the barrier,
-//     reproducing the serial effect sequence exactly.
+//     Settled lanes and the unified event queue. A channel whose last sweep
+//     was a bit-exact identity is settled; while every channel is settled
+//     the whole sweep is skipped, and the loop advances straight from event
+//     to event through the gap (event.go).
 //
-//   - Event-horizon striding. On a dead tail (arrivals exhausted, queue
-//     empty, no busy sockets) every remaining tick only accrues idle energy;
+//     Dead-tail striding. When arrivals are exhausted, the queue is empty
+//     and no socket is busy, every remaining tick only accrues idle energy;
 //     the engine replays exactly those floating-point additions in a tight
 //     loop and skips the thermal sweep, whose state is unobservable from
-//     that point on.
+//     that point on. Unlike the gap advance it needs no settled lanes.
 //
-// The serial engine is the pristine pre-engine path, kept as the oracle the
-// equivalence tests compare everything else against.
+// Parallelism lives above a run, not inside it: experiments.Runner runs
+// sweep cells and seeds concurrently, and the fleet pool shards chassis.
+// Neither needs a per-tick barrier.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"densim/internal/airflow"
 	"densim/internal/chipmodel"
@@ -42,78 +43,36 @@ import (
 	"densim/internal/workload"
 )
 
-// Engine modes and stride settings accepted by EngineConfig.
+// Engine modes accepted by EngineConfig.
 const (
-	EngineAuto     = "auto"
-	EngineSerial   = "serial"
-	EngineParallel = "parallel"
-	// EngineEvent is the event-driven engine: the incremental sweep plus the
-	// unified event queue (event.go), which advances the clock straight from
-	// event to event while every lane holds a bit-exact fixed point.
+	// EngineEvent is the default engine ("" selects it): the incremental
+	// sweep plus the unified event queue (event.go), which advances the
+	// clock straight from event to event while every lane holds a bit-exact
+	// fixed point.
 	EngineEvent = "event"
-
-	StrideAuto = "auto"
-	StrideOn   = "on"
-	StrideOff  = "off"
+	// EngineSerial is the pristine reference sweep.
+	EngineSerial = "serial"
 )
 
 // EngineConfig selects how the tick loop executes. The zero value is the
-// auto engine: incremental (dirty-lane) advection with striding, engaging
-// the worker pool when the machine and topology are large enough. Every
-// mode produces bit-identical results; the knob trades fixed overheads
-// against scaling, never accuracy.
+// event engine. Both engines produce bit-identical results; the choice
+// trades speed for a reference to check against, never accuracy.
 type EngineConfig struct {
-	// Mode is "", "auto", "serial", or "parallel". "serial" is the pristine
-	// reference path (dense ambient recompute, no skips, no workers).
-	// "parallel" engages the worker pool; "auto" (and "") picks for the
-	// machine. Modes other than serial fall back to the serial sweep when
-	// the thermal chain is not the airflow advection network (channel
-	// independence is what makes the incremental and sharded sweeps exact).
+	// Mode is "" or "event" (the default), or "serial". The event engine
+	// falls back to the serial sweep when the thermal chain is not the
+	// airflow advection network (channel independence is what makes the
+	// incremental sweep exact). A Probe or the invariant harness observes
+	// every tick, so either one disables its tick skipping.
 	Mode string
-	// Workers is the worker-pool size for the parallel engine; 0 means
-	// runtime.GOMAXPROCS(0). The pool engages at 2 or more workers, and is
-	// always capped at the topology's channel count.
-	Workers int
-	// Stride is "", "auto", "on", or "off". Auto enables event-horizon
-	// striding except in serial mode; striding is always disabled while a
-	// Probe or the invariant harness is installed (both observe every tick).
-	Stride string
 }
 
-// Validate checks the enum fields.
+// Validate checks the mode.
 func (e EngineConfig) Validate() error {
 	switch e.Mode {
-	case "", EngineAuto, EngineSerial, EngineParallel, EngineEvent:
-	default:
-		return fmt.Errorf("sim: unknown engine mode %q (have auto, serial, parallel, event)", e.Mode)
+	case "", EngineEvent, EngineSerial:
+		return nil
 	}
-	switch e.Stride {
-	case "", StrideAuto, StrideOn, StrideOff:
-	default:
-		return fmt.Errorf("sim: unknown engine stride %q (have auto, on, off)", e.Stride)
-	}
-	if e.Workers < 0 {
-		return fmt.Errorf("sim: negative engine worker count %d", e.Workers)
-	}
-	return nil
-}
-
-// autoPoolMinSockets is the topology size below which the auto engine keeps
-// the sweep inline: the per-tick barrier costs a few microseconds, which a
-// small server's whole sweep undercuts.
-const autoPoolMinSockets = 128
-
-// autoPoolMaxWorkers caps the pool the auto engine picks on large machines;
-// explicit EngineConfig.Workers overrides it.
-const autoPoolMaxWorkers = 8
-
-// freqEvent is one deferred DVFS transition recorded by the sharded sweep:
-// the completion-heap refresh and the telemetry event are replayed by the
-// coordinator after the barrier, in ascending socket order — the serial
-// effect sequence.
-type freqEvent struct {
-	sock     int32
-	from, to units.MHz
+	return fmt.Errorf("sim: unknown engine mode %q (have event, serial)", e.Mode)
 }
 
 // engineState is the resolved engine for one run.
@@ -121,15 +80,10 @@ type engineState struct {
 	// incremental selects the dirty-lane sweep; false is the pristine
 	// serial path.
 	incremental bool
-	// stride enables the dead-tail fast-forward.
+	// stride enables the dead-tail fast-forward. With incremental it also
+	// arms laneSettled, the fixed-point proof behind the all-settled skip
+	// and the event queue's gap advance.
 	stride bool
-	// evq enables the unified event queue (event.go): while every lane is
-	// settled, the loop advances straight from event to event, replaying the
-	// per-tick float accumulation for the gap. Requires incremental + stride
-	// (the settled tracking is the fixed-point proof the gap replay rests on).
-	evq bool
-	// workers is the resolved pool size (pool engages at >= 2).
-	workers int
 
 	// afm is the airflow model's channel view (set when incremental).
 	afm     *airflow.Model
@@ -145,14 +99,10 @@ type engineState struct {
 	dirty []bool
 	// laneSettled[ch] records that channel ch's last sweep was a bit-exact
 	// identity (clean channel, no socket field changed). While every lane is
-	// settled the whole sweep is a no-op and the engine skips it outright —
-	// the settled generalization of event-horizon striding. Nil unless
-	// striding is enabled; cleared by every power write and busy transition
-	// touching the channel.
+	// settled the whole sweep is a no-op and the engine skips it outright.
+	// Nil unless stride and incremental; cleared by every power write and
+	// busy transition touching the channel.
 	laneSettled []bool
-	// events is the inline sweep's deferred-transition buffer (the pool's
-	// workers carry their own).
-	events []freqEvent
 
 	// Pick cache, enabled only for the default TableDVFS power manager: a
 	// busy socket's pick is a pure function of (benchmark, ambient bits,
@@ -166,37 +116,32 @@ type engineState struct {
 	pickCap   []units.MHz
 	pickIdx   []int8
 	pickFreq  []units.MHz
-	// shared marks the single-goroutine sweep, where the admiss cache's
-	// shared bounds pool and ladder table are safe; pickLad[i]/pickThr[i]
-	// then hold the ladder row and boundary snapshot for pickBench[i]'s
-	// power curve under socket i's sink.
+	// shared engages the admiss cache's shared bounds pool and ladder
+	// table, whose bounds are exact only under one leakage curve (so not
+	// under heterogeneous SKUs). pickLad[i]/pickThr[i] then hold the ladder
+	// row and boundary snapshot for pickBench[i]'s power curve under socket
+	// i's sink. The pool and both rows are allocated on the first
+	// cache-missed pick, so a simulator that never steps pays nothing.
 	shared  bool
 	pickLad [][]units.Watts
 	pickThr []chipmodel.BoundsRow
 	// admiss caches exact admissibility verdicts per (socket, P-state) so
 	// cache-missed picks rarely pay the leakage exponential (see
-	// chipmodel.AdmissCache). Safe under the worker pool: workers own
-	// disjoint sockets, and entries are per socket.
+	// chipmodel.AdmissCache).
 	admiss *chipmodel.AdmissCache
-
-	pool *tickPool
 }
 
 // resolveEngine turns the configured EngineConfig into the run's engine
 // state. Called from New after the thermal and power seams are resolved.
 func (s *Simulator) resolveEngine() {
 	e := &s.eng
-	cfg := s.cfg.Engine
-	mode := cfg.Mode
-	if mode == "" {
-		mode = EngineAuto
-	}
+	serial := s.cfg.Engine.Mode == EngineSerial
 
-	// The incremental and sharded sweeps are exact only over the advection
-	// network's independent channels; any other thermal chain runs serial.
+	// The incremental sweep is exact only over the advection network's
+	// independent channels; any other thermal chain runs serial.
 	afm, haveChannels := s.thermal.(*airflow.Model)
 	if haveChannels {
-		// The sweeps also assume the channel-major socket ID layout (channel
+		// The sweep also assumes the channel-major socket ID layout (channel
 		// c covers IDs [c*Depth, (c+1)*Depth)), which makes channel-order
 		// iteration identical to the serial ascending-ID sweep. Every
 		// geometry.New topology satisfies it; verify rather than assume.
@@ -210,7 +155,7 @@ func (s *Simulator) resolveEngine() {
 		}
 	}
 
-	e.incremental = mode != EngineSerial && haveChannels
+	e.incremental = !serial && haveChannels
 	if e.incremental {
 		e.afm = afm
 		e.numChan = afm.NumChannels()
@@ -225,7 +170,6 @@ func (s *Simulator) resolveEngine() {
 		for c := range e.dirty {
 			e.dirty[c] = true // ambBuf holds nothing yet
 		}
-		e.events = make([]freqEvent, 0, len(s.sockets))
 		if _, ok := s.power.(TableDVFS); ok {
 			e.useDVFS = true
 			n := len(s.sockets)
@@ -235,59 +179,16 @@ func (s *Simulator) resolveEngine() {
 			e.pickIdx = make([]int8, n)
 			e.pickFreq = make([]units.MHz, n)
 			e.admiss = chipmodel.NewAdmissCache(n)
+			e.shared = !s.hetero
 		}
 	}
 
-	switch {
-	case !e.incremental || !e.useDVFS:
-		// The pool calls the power policy from worker goroutines; only the
-		// stateless TableDVFS default is known safe there. A custom seam
-		// keeps the incremental sweep inline (same call sequence as serial).
-		e.workers = 1
-	case mode == EngineParallel:
-		e.workers = cfg.Workers
-		if e.workers <= 0 {
-			e.workers = runtime.GOMAXPROCS(0)
-		}
-	case cfg.Workers > 0:
-		e.workers = cfg.Workers
-	default: // auto: engage the pool only where the sweep can amortize it
-		e.workers = 1
-		if runtime.GOMAXPROCS(0) >= 2 && len(s.sockets) >= autoPoolMinSockets {
-			e.workers = min(runtime.GOMAXPROCS(0), autoPoolMaxWorkers)
-		}
-	}
-	if e.incremental && e.workers > e.numChan {
-		e.workers = e.numChan
-	}
-	// The admissibility cache's shared dynW-keyed bounds pool and ladder
-	// table survive job churn but are single-goroutine; the tick pool probes
-	// the cache from worker goroutines, so they engage only for the inline
-	// sweep. The pool's bounds are exact only under one leakage curve, so
-	// heterogeneous SKUs keep the per-socket entries and skip the pool.
-	if e.useDVFS && e.workers < 2 && !s.hetero {
-		e.shared = true
-		e.admiss.EnableSharedPool()
-		e.pickLad = make([][]units.Watts, len(s.sockets))
-		e.pickThr = make([]chipmodel.BoundsRow, len(s.sockets))
-	}
-
-	strideWanted := false
-	switch cfg.Stride {
-	case StrideOn:
-		strideWanted = true
-	case "", StrideAuto:
-		strideWanted = mode != EngineSerial
-	}
-	// A Probe and the invariant harness observe every tick; striding would
-	// skip their view, so their presence disables it outright.
-	e.stride = strideWanted && s.cfg.Probe == nil && s.cfg.Checks == nil
+	// A Probe and the invariant harness observe every tick; skipping ticks
+	// would hide them, so their presence disables it outright.
+	e.stride = !serial && s.cfg.Probe == nil && s.cfg.Checks == nil
 	if e.stride && e.incremental {
 		e.laneSettled = make([]bool, e.numChan)
 	}
-	// The unified event queue needs the settled tracking as its fixed-point
-	// proof, so it inherits every stride gate above.
-	e.evq = mode == EngineEvent && e.incremental && e.stride
 }
 
 // allSettled reports that the previous sweep was an identity on every lane:
@@ -352,6 +253,12 @@ func (s *Simulator) enginePick(i int, st *socketState) units.MHz {
 	if e.pickBench[i] == bench {
 		hint = int(e.pickIdx[i])
 	} else if e.shared {
+		if e.pickLad == nil {
+			n := len(s.sockets)
+			e.admiss.EnableSharedPool()
+			e.pickLad = make([][]units.Watts, n)
+			e.pickThr = make([]chipmodel.BoundsRow, n)
+		}
 		e.pickLad[i], e.pickThr[i] = e.admiss.LadderBounds(bench.DynMax(), func(k int) units.Watts {
 			return bench.DynamicPowerAt(chipmodel.Frequencies[k])
 		}, sink, leak)
@@ -394,13 +301,12 @@ func (s *Simulator) ensureTickGains(dt units.Seconds) {
 	s.tickGains.util = chipmodel.FirstOrder{Tau: s.cfg.BoostWindow}.Gain(dt)
 }
 
-// tickChannels runs the per-socket thermal/DVFS sweep over channels
-// [lo, hi): the dirty-gated ambient recompute, the four first-order blends,
-// and the frequency re-pick, with the two shared-state effects (heap
-// refresh, throttle telemetry) deferred into events. It touches only state
-// owned by those channels, so disjoint ranges run concurrently; the
-// per-channel update order equals the serial ascending-ID sweep.
-func (s *Simulator) tickChannels(lo, hi int, events *[]freqEvent) (skipped int64) {
+// tickChannels runs the per-socket thermal/DVFS sweep over every channel:
+// the dirty-gated ambient recompute, the four first-order blends, and the
+// frequency re-pick with its heap refresh and throttle telemetry, in the
+// serial ascending-ID order. It returns the number of channels whose
+// ambient recompute the dirty gate skipped.
+func (s *Simulator) tickChannels() (skipped int64) {
 	e := &s.eng
 	ambients := s.ambBuf
 	kSink, kChip := s.tickGains.sink, s.tickGains.chip
@@ -413,7 +319,7 @@ func (s *Simulator) tickChannels(lo, hi int, events *[]freqEvent) (skipped int64
 	util, pewma, freqs := s.util, s.pewma, s.freq
 	powers, caps := s.powers, s.caps
 	depth := e.depth
-	for ch := lo; ch < hi; ch++ {
+	for ch := 0; ch < e.numChan; ch++ {
 		settled := track && !e.dirty[ch]
 		if e.dirty[ch] {
 			e.afm.AmbientChannelInto(ch, s.powers, ambients)
@@ -446,8 +352,11 @@ func (s *Simulator) tickChannels(lo, hi int, events *[]freqEvent) (skipped int64
 
 			if st.busy {
 				if f := s.pickFrequency(id, st); f != freqs[i] {
-					*events = append(*events, freqEvent{sock: int32(i), from: freqs[i], to: f})
+					if s.tel != nil {
+						s.tel.OnThrottle(s.now, i, freqs[i], f)
+					}
 					freqs[i] = f
+					s.refreshDoneAt(i)
 				}
 				s.setPower(i, s.busyPower(i))
 			} else {
@@ -463,8 +372,7 @@ func (s *Simulator) tickChannels(lo, hi int, events *[]freqEvent) (skipped int64
 		}
 		// A sweep that was not a bit-exact identity may have changed
 		// scheduler-visible state (ambients, utilization EWMAs): advance the
-		// channel's epoch. Epochs are per-channel, so shard workers writing
-		// disjoint ranges stay race-free.
+		// channel's epoch.
 		if !settled {
 			s.laneEpoch[ch]++
 		}
@@ -475,21 +383,8 @@ func (s *Simulator) tickChannels(lo, hi int, events *[]freqEvent) (skipped int64
 	return skipped
 }
 
-// replayFreqEvents applies the deferred effects of one event buffer: the
-// completion-heap refresh and the telemetry throttle event, in buffer order
-// (ascending socket ID within a shard; the coordinator walks shards in
-// order, so the global sequence is the serial one).
-func (s *Simulator) replayFreqEvents(events []freqEvent) {
-	for _, ev := range events {
-		s.refreshDoneAt(int(ev.sock))
-		if s.tel != nil {
-			s.tel.OnThrottle(s.now, int(ev.sock), ev.from, ev.to)
-		}
-	}
-}
-
-// powerManagerTickIncremental is the dirty-lane (and, with a pool, lane-
-// sharded) power-manager tick. Bit-identical to powerManagerTickSerial.
+// powerManagerTickIncremental is the event engine's power-manager tick.
+// Bit-identical to powerManagerTickSerial.
 func (s *Simulator) powerManagerTickIncremental(dt units.Seconds) {
 	s.ensureTickGains(dt)
 	e := &s.eng
@@ -504,18 +399,8 @@ func (s *Simulator) powerManagerTickIncremental(dt units.Seconds) {
 		if s.tel != nil {
 			s.tel.OnSettledTick()
 		}
-	} else if e.pool != nil {
-		skipped = e.pool.runTick()
-		for w := range e.pool.workers {
-			s.replayFreqEvents(e.pool.workers[w].events)
-		}
-		if s.tel != nil {
-			s.tel.OnWorkerShards(int64(len(e.pool.workers)))
-		}
 	} else {
-		e.events = e.events[:0]
-		skipped = s.tickChannels(0, e.numChan, &e.events)
-		s.replayFreqEvents(e.events)
+		skipped = s.tickChannels()
 	}
 	if s.checks != nil {
 		s.auditTick()
@@ -629,77 +514,5 @@ func (s *Simulator) strideIdleTailSlow(tick, hardStop units.Seconds) {
 	}
 	if s.tel != nil {
 		s.tel.OnStride(ticks)
-	}
-}
-
-// tickPool is the persistent worker pool of the parallel engine: one
-// goroutine per worker, reused across ticks, woken by a one-slot channel
-// and joined on a shared WaitGroup. Workers own disjoint contiguous channel
-// ranges and write only state owned by those channels, so the sweep needs
-// no locks; the barrier publishes their writes to the coordinator.
-type tickPool struct {
-	s       *Simulator
-	workers []tickWorker
-	wg      sync.WaitGroup
-}
-
-type tickWorker struct {
-	start   chan struct{}
-	lo, hi  int // channel range [lo, hi)
-	events  []freqEvent
-	skipped int64
-}
-
-// newTickPool starts n workers over the simulator's channels, splitting
-// them into contiguous balanced ranges. Worker event buffers are sized for
-// the worst case (every socket in the shard transitions in one tick), so
-// ticks never allocate.
-func newTickPool(s *Simulator, n int) *tickPool {
-	p := &tickPool{s: s, workers: make([]tickWorker, n)}
-	numChan := s.eng.numChan
-	for w := 0; w < n; w++ {
-		lo, hi := w*numChan/n, (w+1)*numChan/n
-		sockets := 0
-		for c := lo; c < hi; c++ {
-			sockets += len(s.eng.afm.Channel(c))
-		}
-		p.workers[w] = tickWorker{
-			start:  make(chan struct{}, 1),
-			lo:     lo,
-			hi:     hi,
-			events: make([]freqEvent, 0, sockets),
-		}
-		go p.run(&p.workers[w])
-	}
-	return p
-}
-
-func (p *tickPool) run(w *tickWorker) {
-	for range w.start {
-		w.events = w.events[:0]
-		w.skipped = p.s.tickChannels(w.lo, w.hi, &w.events)
-		p.wg.Done()
-	}
-}
-
-// runTick executes one sharded sweep and returns the summed skip count.
-// The WaitGroup barrier orders every worker write before the return.
-func (p *tickPool) runTick() int64 {
-	p.wg.Add(len(p.workers))
-	for w := range p.workers {
-		p.workers[w].start <- struct{}{}
-	}
-	p.wg.Wait()
-	var skipped int64
-	for w := range p.workers {
-		skipped += p.workers[w].skipped
-	}
-	return skipped
-}
-
-// stop shuts the workers down. The pool cannot be restarted.
-func (p *tickPool) stop() {
-	for w := range p.workers {
-		close(p.workers[w].start)
 	}
 }

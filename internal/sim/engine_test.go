@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"densim/internal/airflow"
@@ -14,24 +15,17 @@ import (
 )
 
 // engineVariants is the engine matrix every scheduler/topology pair is run
-// through: the serial reference, the auto engine, the pool at two widths,
-// striding forced on (which also arms settled-stride tracking), a snapshot
+// through: the serial reference, the default event engine, and an event
 // fork — the run interrupted mid-flight, serialized, restored in place, and
-// finished — and the unified-event-queue engine, plain and forked. Every
-// variant must reproduce the serial run bit-for-bit.
+// finished. Every variant must reproduce the serial run bit-for-bit.
 var engineVariants = []struct {
 	name string
 	cfg  EngineConfig
 	fork bool // RunTo + Snapshot + Restore + Finish instead of Run
 }{
 	{name: "serial", cfg: EngineConfig{Mode: EngineSerial}},
-	{name: "auto", cfg: EngineConfig{Mode: EngineAuto}},
-	{name: "parallel2", cfg: EngineConfig{Mode: EngineParallel, Workers: 2}},
-	{name: "parallel8", cfg: EngineConfig{Mode: EngineParallel, Workers: 8}},
-	{name: "stride-on", cfg: EngineConfig{Mode: EngineAuto, Stride: StrideOn}},
-	{name: "snapfork", cfg: EngineConfig{Mode: EngineAuto}, fork: true},
-	{name: "event", cfg: EngineConfig{Mode: EngineEvent}},
-	{name: "event-fork", cfg: EngineConfig{Mode: EngineEvent}, fork: true},
+	{name: "event", cfg: EngineConfig{}},
+	{name: "event-fork", cfg: EngineConfig{}, fork: true},
 }
 
 // equivTopologies returns the matrix's two topologies: the 180-socket SUT
@@ -101,8 +95,7 @@ func runEngineVariant(t *testing.T, srv *geometry.Server, schedName string, eng 
 // by every engine variant, must produce a byte-identical metrics.Result and
 // identical telemetry counters (modulo the engine's own skip/stride
 // counters). Bit-exactness is the contract — reflect.DeepEqual over the
-// float-bearing Result, no tolerances. Run with -race to also exercise the
-// pool's synchronization.
+// float-bearing Result, no tolerances.
 func TestEngineEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is minutes under -race; skipped in -short")
@@ -174,12 +167,12 @@ func TestEngineStrideFires(t *testing.T) {
 	}
 
 	tel := telemetry.New("stride")
-	sim, err := New(strideConfig(t, EngineConfig{Mode: EngineAuto, Stride: StrideOn}, tel))
+	sim, err := New(strideConfig(t, EngineConfig{}, tel))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sim.eng.stride {
-		t.Fatal("stride not enabled despite Stride: on")
+		t.Fatal("stride not enabled on the default engine")
 	}
 	res := sim.Run()
 	if got := tel.Counter(telemetry.CStrideTicks); got == 0 {
@@ -252,12 +245,12 @@ func TestEngineSettledStrideFires(t *testing.T) {
 	}
 
 	tel := telemetry.New("settled")
-	sim, err := New(settledConfig(t, EngineConfig{Mode: EngineAuto, Stride: StrideOn}, tel))
+	sim, err := New(settledConfig(t, EngineConfig{}, tel))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim.eng.laneSettled == nil {
-		t.Fatal("settled tracking not armed despite stride-on incremental engine")
+		t.Fatal("settled tracking not armed on the default engine")
 	}
 	res := sim.Run()
 	if got := tel.Counter(telemetry.CSettledTicks); got == 0 {
@@ -277,9 +270,9 @@ func TestEngineSettledStrideFires(t *testing.T) {
 
 // TestEngineEventGapFires pins the unified event queue to actually engaging
 // on a settled busy plateau — and to changing nothing. With the event engine
-// selected, the run must execute gap-advance ticks (CEventTicks > 0) while
-// jobs are still running, and stay bit-identical to the serial reference,
-// counters included.
+// named explicitly, the run must execute gap-advance ticks (CEventTicks > 0)
+// while jobs are still running, and stay bit-identical to the serial
+// reference, counters included.
 func TestEngineEventGapFires(t *testing.T) {
 	refTel := telemetry.New("serial")
 	refSim, err := New(settledConfig(t, EngineConfig{Mode: EngineSerial}, refTel))
@@ -297,7 +290,7 @@ func TestEngineEventGapFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sim.eng.evq {
+	if sim.eng.laneSettled == nil {
 		t.Fatal("event queue not armed despite event mode")
 	}
 	res := sim.Run()
@@ -324,12 +317,12 @@ func TestEventGapAdvanceDoesNotAllocate(t *testing.T) {
 	// A Probe would disable striding (and with it the event queue), so step
 	// the run with RunTo and measure once the engine reports all-settled.
 	tel := telemetry.New("event-alloc")
-	s, err := New(settledConfig(t, EngineConfig{Mode: EngineEvent}, tel))
+	s, err := New(settledConfig(t, EngineConfig{}, tel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.eng.evq {
-		t.Fatal("event queue not armed despite event mode")
+	if s.eng.laneSettled == nil {
+		t.Fatal("event queue not armed on the default engine")
 	}
 	settled := false
 	for to := units.Seconds(0.05); to <= 0.25; to += 0.05 {
@@ -354,18 +347,17 @@ func TestEventGapAdvanceDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestEngineChecksCrossAudit runs the incremental engine with the invariant
+// TestEngineChecksCrossAudit runs the default engine with the invariant
 // harness installed (the DENSIM_CHECKS=1 configuration): the sparse-vs-dense
 // cross-audits — ambient cache against a dense advection recompute, the
 // incremental idle set against a busy-flag scan — must observe a live run
 // and find nothing. Striding is implicitly disabled by the harness.
 func TestEngineChecksCrossAudit(t *testing.T) {
 	cfg := smallConfig("CP", 0.9, workload.Computation)
-	cfg.Engine = EngineConfig{Mode: EngineAuto, Workers: 2}
 	h := newRunChecks(t, &cfg)
 	_, sim := runOne(t, cfg) // fails the test on any recorded violation
 	if !sim.eng.incremental {
-		t.Fatal("auto engine did not resolve to the incremental sweep")
+		t.Fatal("default engine did not resolve to the incremental sweep")
 	}
 	if sim.eng.stride {
 		t.Error("stride enabled despite installed checks")
@@ -375,34 +367,32 @@ func TestEngineChecksCrossAudit(t *testing.T) {
 	}
 }
 
-// TestEngineConfigValidate pins the engine knob's enum validation.
+// TestEngineConfigValidate pins the engine mode's validation: the two
+// engines pass, and the removed modes fail closed with an error naming the
+// surviving ones.
 func TestEngineConfigValidate(t *testing.T) {
-	good := []EngineConfig{
-		{}, {Mode: "auto"}, {Mode: "serial"}, {Mode: "parallel", Workers: 4},
-		{Mode: "event"}, {Mode: "event", Workers: 2},
-		{Stride: "on"}, {Stride: "off"}, {Stride: "auto"},
-	}
-	for _, e := range good {
-		if err := e.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", e, err)
+	for _, mode := range []string{"", EngineEvent, EngineSerial} {
+		if err := (EngineConfig{Mode: mode}).Validate(); err != nil {
+			t.Errorf("Validate(%q) = %v, want nil", mode, err)
 		}
 	}
-	bad := []EngineConfig{
-		{Mode: "turbo"}, {Stride: "yes"}, {Workers: -1},
-	}
-	for _, e := range bad {
-		if err := e.Validate(); err == nil {
-			t.Errorf("Validate(%+v) accepted invalid config", e)
+	for _, mode := range []string{"turbo", "auto", "parallel"} {
+		err := EngineConfig{Mode: mode}.Validate()
+		if err == nil {
+			t.Errorf("Validate(%q) accepted an unknown mode", mode)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "event") || !strings.Contains(msg, "serial") {
+			t.Errorf("Validate(%q) = %q, want the surviving modes named", mode, msg)
 		}
 	}
 }
 
 // TestEngineSerialFallbacks pins the resolution rules that keep exotic
 // configurations on the safe path: a custom thermal chain cannot use the
-// channel-sharded sweeps, and a probe or harness disables striding.
+// incremental sweep, and a probe or harness disables striding.
 func TestEngineSerialFallbacks(t *testing.T) {
 	cfg := smallConfig("CF", 0.5, workload.Computation)
-	cfg.Engine = EngineConfig{Mode: EngineParallel, Workers: 4}
 	cfg.Thermal = constantChain{inlet: 25}
 	s, err := New(cfg)
 	if err != nil {
@@ -410,9 +400,6 @@ func TestEngineSerialFallbacks(t *testing.T) {
 	}
 	if s.eng.incremental {
 		t.Error("incremental engine engaged over a non-airflow thermal chain")
-	}
-	if s.eng.workers != 1 {
-		t.Errorf("workers = %d over a non-airflow thermal chain, want 1", s.eng.workers)
 	}
 
 	cfg = smallConfig("CF", 0.5, workload.Computation)

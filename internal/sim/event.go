@@ -46,8 +46,9 @@ import "densim/internal/units"
 //     the loop-top applyFaults condition) breaks back to the full loop
 //     before the tick that would observe it; an inlet ramp in flight
 //     disengages the gap entirely since applyFaults mutates state per tick.
-//   - The Probe and Checks hooks are nil whenever evq is enabled (it
-//     inherits every stride gate), so no per-tick observer is skipped.
+//   - The Probe and Checks hooks are nil whenever settled tracking is
+//     armed (resolveEngine disarms it under either), so no per-tick
+//     observer is skipped.
 func (s *Simulator) eventGapAdvance(until, tick, hardStop units.Seconds) (advanced, done bool) {
 	if !s.eng.allSettled() {
 		return false, false

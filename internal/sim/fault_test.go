@@ -170,7 +170,7 @@ func plainConfig(t *testing.T, schedName string, eng EngineConfig, tel *telemetr
 // model spins at its healthy point (flow factor exactly 1) and contributes
 // nothing to the simulated physics, only to its own side ledger.
 func TestFaultPostHorizonNoop(t *testing.T) {
-	for _, eng := range []EngineConfig{{Mode: EngineSerial}, {Mode: EngineAuto, Stride: StrideOn}} {
+	for _, eng := range []EngineConfig{{Mode: EngineSerial}, {}} {
 		refTel := telemetry.New("plain")
 		ref, err := New(plainConfig(t, "CF", eng, refTel))
 		if err != nil {
@@ -214,7 +214,7 @@ func TestFaultPostHorizonNoop(t *testing.T) {
 // the flow physics are recomputed.
 func TestFaultFailInstantRecoverNoop(t *testing.T) {
 	run := func(events []fault.Event) (metrics.Result, units.Joules) {
-		cfg := plainConfig(t, "CP", EngineConfig{Mode: EngineAuto}, nil)
+		cfg := plainConfig(t, "CP", EngineConfig{}, nil)
 		cfg.Faults = &fault.Spec{FanCount: 4, Events: events}
 		s, err := New(cfg)
 		if err != nil {
@@ -240,7 +240,7 @@ func TestFaultFailInstantRecoverNoop(t *testing.T) {
 // agree exactly with the simulator's own accounting.
 func TestFaultedRunUnderChecks(t *testing.T) {
 	h := check.New()
-	cfg := faultConfig(t, "CP", EngineConfig{Mode: EngineAuto}, nil)
+	cfg := faultConfig(t, "CP", EngineConfig{}, nil)
 	cfg.Checks = h
 	s, err := New(cfg)
 	if err != nil {
@@ -274,7 +274,7 @@ func TestFaultedRunUnderChecks(t *testing.T) {
 // map) must fail closed against a run configured with a different one — or
 // with none.
 func TestSnapshotRejectsCrossFaultSchedule(t *testing.T) {
-	src, err := New(faultConfig(t, "CP", EngineConfig{Mode: EngineAuto}, nil))
+	src, err := New(faultConfig(t, "CP", EngineConfig{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestSnapshotRejectsCrossFaultSchedule(t *testing.T) {
 	}
 
 	// Same faults, same SKUs: accepted (control).
-	same, err := New(faultConfig(t, "CP", EngineConfig{Mode: EngineAuto}, nil))
+	same, err := New(faultConfig(t, "CP", EngineConfig{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestSnapshotRejectsCrossFaultSchedule(t *testing.T) {
 	}
 
 	// A shifted event time is a different schedule.
-	shifted := faultConfig(t, "CP", EngineConfig{Mode: EngineAuto}, nil)
+	shifted := faultConfig(t, "CP", EngineConfig{}, nil)
 	shifted.Faults = chaosSpec()
 	shifted.Faults.Events[0].At = 0.13
 	dst, err := New(shifted)
@@ -306,7 +306,7 @@ func TestSnapshotRejectsCrossFaultSchedule(t *testing.T) {
 	}
 
 	// No faults at all.
-	none := faultConfig(t, "CP", EngineConfig{Mode: EngineAuto}, nil)
+	none := faultConfig(t, "CP", EngineConfig{}, nil)
 	none.Faults = nil
 	dst2, err := New(none)
 	if err != nil {
@@ -317,7 +317,7 @@ func TestSnapshotRejectsCrossFaultSchedule(t *testing.T) {
 	}
 
 	// Same faults, different SKU map.
-	otherSKUs := faultConfig(t, "CP", EngineConfig{Mode: EngineAuto}, nil)
+	otherSKUs := faultConfig(t, "CP", EngineConfig{}, nil)
 	otherSKUs.Server = geometry.SUT() // homogeneous
 	dst3, err := New(otherSKUs)
 	if err != nil {

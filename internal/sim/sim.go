@@ -140,10 +140,9 @@ type Config struct {
 	// requires the default airflow thermal chain: fan faults rescale its
 	// per-lane flow, which an opaque custom chain cannot express.
 	Faults *fault.Spec
-	// Engine selects how the tick loop executes (serial, dirty-lane
-	// incremental, lane-sharded parallel, event-horizon striding — see
-	// engine.go). Every engine produces bit-identical results; the zero
-	// value picks automatically for the machine and topology.
+	// Engine selects how the tick loop executes: the event engine (the
+	// zero value) or the serial reference — see engine.go. Both produce
+	// bit-identical results.
 	Engine EngineConfig
 }
 
@@ -353,8 +352,8 @@ type Simulator struct {
 	// rewrites util and capped wholesale). fmaxAt and the boost-tier config
 	// are immutable after New. Audited against a fresh capFor by the
 	// invariant harness.
-	caps []units.MHz
-	queue   job.Queue
+	caps  []units.MHz
+	queue job.Queue
 	// jobPool recycles completed jobs' allocations into later arrivals,
 	// keeping the steady-state event path allocation-free. Safe because a
 	// completed job is unreachable once completeJob's hooks return: the
@@ -724,17 +723,13 @@ func (s *Simulator) Finish() metrics.Result {
 }
 
 // runLoop is the simulation loop, bounded by an exclusive time limit (pass
-// neverDone to run to completion). The worker pool persists across calls so
-// a RunTo/Finish sequence pays its startup once; finalize stops it.
+// neverDone to run to completion).
 func (s *Simulator) runLoop(until units.Seconds) {
 	if s.ended {
 		return
 	}
 	tick := s.cfg.TickPeriod
 	hardStop := s.cfg.DrainLimit
-	if s.eng.incremental && s.eng.workers >= 2 && s.eng.pool == nil {
-		s.eng.pool = newTickPool(s, s.eng.workers)
-	}
 	for s.now < until {
 		if s.flt != nil {
 			s.applyFaults()
@@ -746,19 +741,18 @@ func (s *Simulator) runLoop(until units.Seconds) {
 			s.ended = true
 			break
 		}
-		if s.eng.evq {
-			// Unified event queue: while every lane holds its fixed point,
-			// march straight through the gap to the next indexed event. On
-			// any advance, re-enter the loop top so fault application and
-			// the stride check see the new clock.
-			advanced, done := s.eventGapAdvance(until, tick, hardStop)
-			if done {
-				s.ended = true
-				break
-			}
-			if advanced {
-				continue
-			}
+		// Unified event queue: while every lane holds its fixed point, march
+		// straight through the gap to the next indexed event (a no-op unless
+		// the event engine armed settled tracking). On any advance, re-enter
+		// the loop top so fault application and the stride check see the new
+		// clock.
+		advanced, done := s.eventGapAdvance(until, tick, hardStop)
+		if done {
+			s.ended = true
+			break
+		}
+		if advanced {
+			continue
 		}
 		tickStart := s.now
 		tickEnd := s.now + tick
@@ -784,12 +778,8 @@ func (s *Simulator) runLoop(until units.Seconds) {
 }
 
 // finalize digests the run: metrics span and result, harness end-of-run
-// checks, telemetry tail flush, worker-pool shutdown.
+// checks, telemetry tail flush.
 func (s *Simulator) finalize() metrics.Result {
-	if s.eng.pool != nil {
-		s.eng.pool.stop()
-		s.eng.pool = nil
-	}
 	runningLeft := s.busyCount
 	queuedLeft := s.queue.Len()
 	s.unfinished = runningLeft + queuedLeft
@@ -1028,7 +1018,7 @@ func (s *Simulator) advanceAllTo(t units.Seconds) {
 
 // powerManagerTick updates the thermal chain and re-picks P-states; dt is
 // the elapsed tick period. It dispatches to the configured engine: the
-// incremental (dirty-lane, optionally lane-sharded) sweep in engine.go, or
+// incremental (dirty-lane) sweep in engine.go, or
 // the serial reference sweep below — bit-identical by construction.
 func (s *Simulator) powerManagerTick(dt units.Seconds) {
 	if s.eng.incremental {

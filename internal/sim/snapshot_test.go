@@ -44,8 +44,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		cfg  EngineConfig
 	}{
 		{"serial", EngineConfig{Mode: EngineSerial}},
-		{"auto", EngineConfig{Mode: EngineAuto}},
-		{"event", EngineConfig{Mode: EngineEvent}},
+		{"event", EngineConfig{}},
 	}
 	boundaries := []units.Seconds{0.05, 0.1, 0.25}
 	for _, schedName := range []string{"CP", "Random", "A-Random", "CF"} {
@@ -86,13 +85,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // Finish — with no snapshot in between — is the uninterrupted Run,
 // bit-for-bit, even when RunTo lands mid-drain or after the horizon.
 func TestRunToFinishEquivalence(t *testing.T) {
-	ref, err := New(snapConfig(t, "CP", EngineConfig{Mode: EngineAuto}))
+	ref, err := New(snapConfig(t, "CP", EngineConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	refRes := ref.Run()
 	for _, at := range []units.Seconds{0.001, 0.1, 0.39, 1.0} {
-		s, err := New(snapConfig(t, "CP", EngineConfig{Mode: EngineAuto}))
+		s, err := New(snapConfig(t, "CP", EngineConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +108,7 @@ func TestRunToFinishEquivalence(t *testing.T) {
 // excluded from the config signature), and the result matches that longer
 // run simulated from scratch.
 func TestSnapshotCrossDuration(t *testing.T) {
-	short := snapConfig(t, "CP", EngineConfig{Mode: EngineAuto})
+	short := snapConfig(t, "CP", EngineConfig{})
 	src, err := New(short)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +119,7 @@ func TestSnapshotCrossDuration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	long := snapConfig(t, "CP", EngineConfig{Mode: EngineAuto})
+	long := snapConfig(t, "CP", EngineConfig{})
 	long.Duration = 0.6
 	ref, err := New(long)
 	if err != nil {
@@ -128,7 +127,7 @@ func TestSnapshotCrossDuration(t *testing.T) {
 	}
 	refRes := ref.Run()
 
-	long2 := snapConfig(t, "CP", EngineConfig{Mode: EngineAuto})
+	long2 := snapConfig(t, "CP", EngineConfig{})
 	long2.Duration = 0.6
 	dst, err := New(long2)
 	if err != nil {
@@ -146,7 +145,7 @@ func TestSnapshotCrossDuration(t *testing.T) {
 // layer, bit corruption anywhere in the buffer, a wrong magic, and a
 // configuration mismatch must all reject without touching the simulator.
 func TestSnapshotFailsClosed(t *testing.T) {
-	src, err := New(snapConfig(t, "CP", EngineConfig{Mode: EngineAuto}))
+	src, err := New(snapConfig(t, "CP", EngineConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestSnapshotFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := func() *Simulator {
-		s, err := New(snapConfig(t, "CP", EngineConfig{Mode: EngineAuto}))
+		s, err := New(snapConfig(t, "CP", EngineConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +181,7 @@ func TestSnapshotFailsClosed(t *testing.T) {
 		t.Error("trailing garbage accepted")
 	}
 
-	other := snapConfig(t, "CP", EngineConfig{Mode: EngineAuto})
+	other := snapConfig(t, "CP", EngineConfig{})
 	other.Load = 0.5 // different run identity
 	dst, err := New(other)
 	if err != nil {
@@ -191,7 +190,7 @@ func TestSnapshotFailsClosed(t *testing.T) {
 	if err := dst.Restore(data); err == nil {
 		t.Error("snapshot from a different configuration accepted")
 	}
-	otherSched := snapConfig(t, "CF", EngineConfig{Mode: EngineAuto})
+	otherSched := snapConfig(t, "CF", EngineConfig{})
 	dst2, err := New(otherSched)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +205,7 @@ func TestSnapshotFailsClosed(t *testing.T) {
 // non-snapshottable sources, or an installed invariant harness — must refuse
 // to snapshot rather than capture a resume that would silently diverge.
 func TestSnapshotRefusals(t *testing.T) {
-	cfg := snapConfig(t, "CP", EngineConfig{Mode: EngineAuto})
+	cfg := snapConfig(t, "CP", EngineConfig{})
 	cfg.Thermal = constantChain{inlet: 25}
 	s, err := New(cfg)
 	if err != nil {
@@ -216,7 +215,7 @@ func TestSnapshotRefusals(t *testing.T) {
 		t.Error("snapshot accepted with a custom thermal chain")
 	}
 
-	cfg = snapConfig(t, "CP", EngineConfig{Mode: EngineAuto})
+	cfg = snapConfig(t, "CP", EngineConfig{})
 	bench := workload.ByClass(workload.Computation)[0]
 	cfg.Source = &listSource{arrivals: []listArrival{{at: 0, bench: bench, nominal: 0.01}}}
 	cfg.Mix = workload.Mix{}

@@ -97,10 +97,6 @@ func (l *Local) OnSettledTick() { l.counters[CSettledTicks]++ }
 // CSettledTicks) through the regular settled-path calls.
 func (l *Local) OnEventTick() { l.counters[CEventTicks]++ }
 
-// OnWorkerShards records n worker shard executions of the parallel engine
-// for one tick.
-func (l *Local) OnWorkerShards(n int64) { l.counters[CWorkerShards] += n }
-
 // OnArrival records one admitted job.
 func (l *Local) OnArrival() { l.counters[CArrivals]++ }
 

@@ -60,9 +60,9 @@ const (
 	// CLaneSkips counts airflow channels whose ambient recompute the
 	// dirty-lane engine skipped because the channel's powers were unchanged.
 	CLaneSkips
-	// CWorkerShards counts per-tick worker shard executions of the parallel
-	// engine (workers x ticks when the pool is engaged) — the denominator
-	// for worker-utilization readings.
+	// CWorkerShards counted the shards of the removed intra-run tick pool.
+	// Nothing feeds it any more; it stays, always zero, so the exposition
+	// indices and names of the counters after it are unchanged.
 	CWorkerShards
 	// CSettledTicks counts power-manager ticks whose thermal/DVFS sweep the
 	// engine skipped because every lane was at a bit-exact fixed point (each
@@ -124,8 +124,8 @@ var counterNames = [numCounters]string{
 // Name returns the counter's exposition name.
 func (id CounterID) Name() string { return counterNames[id] }
 
-// EngineCounters lists the counters fed by the incremental/parallel engine
-// rather than by simulation events. Engine-equivalence comparisons exclude
+// EngineCounters lists the counters fed by the event engine rather than by
+// simulation events. Engine-equivalence comparisons exclude
 // exactly these: every other counter must match bit-for-bit across engines.
 func EngineCounters() []CounterID {
 	return []CounterID{CStrideTicks, CLaneSkips, CWorkerShards, CSettledTicks, CEventTicks}

@@ -15,11 +15,15 @@
 #       (BENCH_PR9.json records a run).
 #
 #   scripts/bench.sh smoke
-#       CI gate: run the double-density CP90 benchmark under the serial
-#       and the parallel engine at -benchtime 2x and fail if the parallel
-#       engine's median is more than 10% slower than serial on this
-#       runner. Catches pool regressions that the bit-equivalence tests
-#       cannot (they check answers, not wall clock).
+#       CI gate for the default event engine: run the double-density CP90
+#       benchmark under the default engine and pinned to the serial
+#       reference at -benchtime 2x, and fail if the default engine's median
+#       is more than 10% slower than serial on this runner. At the 90% knee
+#       the lanes rarely settle, so the event engine must degrade gracefully
+#       to the incremental sweep and its gap machinery must cost nothing
+#       measurable; the 10% band only absorbs the shared runner's noise.
+#       Catches engine regressions that the bit-equivalence tests cannot
+#       (they check answers, not wall clock).
 #
 #   scripts/bench.sh fleetgate
 #       CI gate for the epoch executor: run the 16-chassis fleet
@@ -28,17 +32,6 @@
 #       closed loop re-enters the tick engine and observes every chassis
 #       at every boundary; this holds that seam to bounded overhead. The
 #       equivalence tests pin its answers; this pins its wall clock.
-#
-#   scripts/bench.sh eventgate
-#       CI gate for the unified event queue: run the double-density CP90
-#       busy benchmark under the auto (tick) and the event engine at
-#       -benchtime 2x and fail if the event engine's median is more than
-#       10% slower on this runner. The contract is parity or better
-#       (≤1.0×): at the 90% knee the lanes rarely settle, so the event
-#       engine must degrade gracefully to the tick path and its gap
-#       machinery must cost nothing measurable; the 10% band only
-#       absorbs the shared runner's noise (see BENCH_PR10.json's
-#       single-CPU caveat), not a real regression budget.
 #
 #   scripts/bench.sh compare OLD.json NEW.json [max_regress_pct]
 #       Diff two BENCH_*.json files on their 'after' entries: print a
@@ -89,19 +82,19 @@ measure)
 	go test -run XXX -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem "$pkg" | medians
 	;;
 smoke)
-	out="$(go test -run XXX -bench 'BenchmarkSimSecondDD360CP90(Serial|Parallel)$' \
+	out="$(go test -run XXX -bench 'BenchmarkSimSecondDD360CP90(Serial)?$' \
 		-benchtime 2x -count 3 ./internal/sim/)"
 	echo "$out"
-	serial="$(echo "$out" | medians | awk '/Serial/ {print $2}')"
-	parallel="$(echo "$out" | medians | awk '/Parallel/ {print $2}')"
-	if [ -z "$serial" ] || [ -z "$parallel" ]; then
-		echo "bench smoke: missing serial/parallel medians" >&2
+	serial="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondDD360CP90Serial" {print $2}')"
+	event="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondDD360CP90" {print $2}')"
+	if [ -z "$serial" ] || [ -z "$event" ]; then
+		echo "bench smoke: missing serial/event medians" >&2
 		exit 1
 	fi
-	echo "serial median ${serial} ns/op, parallel median ${parallel} ns/op"
-	# Fail when parallel > 1.10 x serial (integer math: 10*p > 11*s).
-	if [ $((10 * parallel)) -gt $((11 * serial)) ]; then
-		echo "bench smoke: parallel engine >10% slower than serial" >&2
+	echo "serial median ${serial} ns/op, event median ${event} ns/op"
+	# Fail when event > 1.10 x serial (integer math: 10*e > 11*s).
+	if [ $((10 * event)) -gt $((11 * serial)) ]; then
+		echo "bench smoke: event engine >10% slower than serial" >&2
 		exit 1
 	fi
 	;;
@@ -119,23 +112,6 @@ fleetgate)
 	# Fail when closed > 1.25 x open (integer math: 4*c > 5*o).
 	if [ $((4 * closed)) -gt $((5 * open)) ]; then
 		echo "bench fleetgate: closed-loop epoch executor >25% slower than open loop" >&2
-		exit 1
-	fi
-	;;
-eventgate)
-	out="$(go test -run XXX -bench 'BenchmarkSimSecondDD360CP90(Event)?$' \
-		-benchtime 2x -count 3 ./internal/sim/)"
-	echo "$out"
-	tick="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondDD360CP90" {print $2}')"
-	event="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondDD360CP90Event" {print $2}')"
-	if [ -z "$tick" ] || [ -z "$event" ]; then
-		echo "bench eventgate: missing tick/event medians" >&2
-		exit 1
-	fi
-	echo "tick median ${tick} ns/op, event median ${event} ns/op"
-	# Fail when event > 1.10 x tick (integer math: 10*e > 11*t).
-	if [ $((10 * event)) -gt $((11 * tick)) ]; then
-		echo "bench eventgate: event engine >10% slower than tick engine" >&2
 		exit 1
 	fi
 	;;
@@ -172,7 +148,7 @@ compare)
 	'
 	;;
 *)
-	echo "usage: scripts/bench.sh [measure [pattern] [count] [benchtime] [pkg] | smoke | fleetgate | eventgate | compare OLD.json NEW.json [pct]]" >&2
+	echo "usage: scripts/bench.sh [measure [pattern] [count] [benchtime] [pkg] | smoke | fleetgate | compare OLD.json NEW.json [pct]]" >&2
 	exit 2
 	;;
 esac
