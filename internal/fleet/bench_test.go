@@ -8,6 +8,9 @@ package fleet
 // two benchmarks, the epoch executor's observe/dispatch fence overhead.
 // BENCH_PR8.json and BENCH_PR9.json record runs of these benchmarks;
 // scripts/bench.sh fleetgate holds the closed/open ratio in CI.
+// BenchmarkFleet2x2 is the profiling target for the shipped fleet preset:
+//
+//	scripts/profile.sh BenchmarkFleet2x2 ./internal/fleet/
 
 import (
 	"fmt"
@@ -49,4 +52,42 @@ func BenchmarkFleetEpoch16(b *testing.B) {
 // channel send per chassis) is visible against real per-chassis work.
 func BenchmarkFleet64(b *testing.B) {
 	benchFleet16(b, uniformFleet(64, "least-loaded"))
+}
+
+// BenchmarkFleet2x2 runs the fleet-2x2 preset over a 4 s horizon the way the
+// end-to-end fleet workload does: each op is a warm-started open-loop run
+// (the cache is filled before the timer starts) followed by the same fleet
+// closed loop at 0.25 s epochs, at the default worker count. Reported
+// allocations cover both runs.
+func BenchmarkFleet2x2(b *testing.B) {
+	load := func(epoch float64) *Fleet {
+		sc, err := scenario.Preset("fleet-2x2")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc.Run.DurationS = 4
+		if epoch > 0 {
+			sc.Fleet.Epoch = &scenario.FleetEpoch{PeriodS: epoch}
+		}
+		f, err := New(sc, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f
+	}
+	open, closed := load(0), load(0.25)
+	open.WarmDir = b.TempDir()
+	if _, err := open.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := open.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := closed.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

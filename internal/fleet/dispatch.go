@@ -16,7 +16,6 @@ package fleet
 // pure function of (policy, fleet, stream).
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -80,10 +79,8 @@ func (e *estimated) pick(at, nominal units.Seconds) int {
 	for i := range e.chassis {
 		// Retire estimated completions that are due by this arrival.
 		h := &e.inflight[i]
-		for h.Len() > 0 && (*h)[0] <= at {
-			heap.Pop(h)
-		}
-		util := float64(h.Len()) / float64(e.chassis[i].Sockets)
+		h.retire(at)
+		util := float64(len(*h)) / float64(e.chassis[i].Sockets)
 		var score float64
 		if e.thermal {
 			// Ambient headroom (how far the inlet sits below the throttle
@@ -99,23 +96,61 @@ func (e *estimated) pick(at, nominal units.Seconds) int {
 			best, bestScore = i, score
 		}
 	}
-	heap.Push(&e.inflight[best], at+nominal)
+	e.inflight[best].push(at + nominal)
 	return best
 }
 
-// completionHeap is a min-heap of estimated completion instants.
+// completionHeap is a min-heap of estimated completion instants. Its
+// readers only ever need the length and the minimum ((*h)[0]), so it is
+// typed rather than a container/heap.Interface: no interface boxing, no
+// allocation per push beyond the slice's amortized growth. The sift order
+// matches container/heap's exactly.
 type completionHeap []units.Seconds
 
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(units.Seconds)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push inserts one completion instant.
+func (h *completionHeap) push(t units.Seconds) {
+	*h = append(*h, t)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest completion instant.
+func (h *completionHeap) pop() units.Seconds {
+	s := *h
+	n := len(s) - 1
+	first := s[0]
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s[r] < s[m] {
+			m = r
+		}
+		if s[i] <= s[m] {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return first
+}
+
+// retire pops every completion due by t.
+func (h *completionHeap) retire(t units.Seconds) {
+	for len(*h) > 0 && (*h)[0] <= t {
+		h.pop()
+	}
 }
 
 // closedDispatcher is the closed-loop half of the seam: the epoch executor
@@ -227,19 +262,4 @@ func (o *observed) pick(_, _ units.Seconds) int {
 	}
 	o.pending[best]++
 	return best
-}
-
-// dispatch routes the whole stream, returning the per-chassis arrival slices
-// and the recorded pick sequence (picks[k] is the chassis index of stream
-// record k) — the dispatcher analog of a job trace, and what the pick-
-// sequence determinism oracle replays.
-func dispatch(d dispatcher, stream []arrival, n int) (assigns [][]arrival, picks []int) {
-	assigns = make([][]arrival, n)
-	picks = make([]int, len(stream))
-	for k := range stream {
-		i := d.pick(stream[k].at, stream[k].nominal)
-		assigns[i] = append(assigns[i], stream[k])
-		picks[k] = i
-	}
-	return assigns, picks
 }

@@ -1,7 +1,7 @@
 package fleet
 
 // The closed-loop epoch executor: the step/observe/act control seam. Instead
-// of routing the whole stream up front over estimated chassis state (the
+// of routing the whole stream in one window over estimated chassis state (the
 // open-loop pipeline in fleet.go), the fleet advances in tick-aligned epochs:
 //
 //	observe -> dispatch window k -> RunTo(boundary k+1) -> observe -> ...
@@ -10,10 +10,13 @@ package fleet
 // dead sockets, settled ambient headroom) through sim.Observe, the dispatcher
 // routes the next window's arrivals over those observations, and the window
 // is appended to each chassis's appendSource before any chassis simulates
-// past the boundary. Dispatch and observation are serial fences; only the
-// RunTo steps between them shard across the worker pool — so the feedback
-// loop is closed yet the result stays a pure function of (scenario, seed,
-// epoch period), independent of worker count.
+// past the boundary. Windows are drawn from the arrival process by the same
+// feed.route pass the open loop uses, and each appendSource rewinds once its
+// window is consumed, so a chassis holds at most one epoch of arrivals.
+// Dispatch and observation are serial fences; only the RunTo steps between
+// them shard across the worker pool — so the feedback loop is closed yet the
+// result stays a pure function of (scenario, seed, epoch period),
+// independent of worker count.
 //
 // Epoch boundaries are computed by replaying the simulator's own clock
 // arithmetic: the sim accumulates now += tick, so boundary k is the
@@ -35,7 +38,6 @@ package fleet
 // — the number that motivates closing the loop.
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -43,6 +45,7 @@ import (
 	"densim/internal/sim"
 	"densim/internal/telemetry"
 	"densim/internal/units"
+	"densim/internal/workload"
 )
 
 // chassisRunner is one chassis's live simulation held open across epochs —
@@ -59,13 +62,13 @@ type chassisRunner struct {
 // newRunner builds chassis i's live simulator over an (initially empty)
 // append source, mirroring runChassis's config assembly. Closed-loop runs
 // never warm-start, so there is no WarmDir path here.
-func (f *Fleet) newRunner(i int) (*chassisRunner, error) {
+func (f *Fleet) newRunner(i int, benches []workload.Benchmark) (*chassisRunner, error) {
 	ch := &f.chassis[i]
 	cfg, err := ch.Scenario.Config(f.seed)
 	if err != nil {
 		return nil, err
 	}
-	r := &chassisRunner{src: &appendSource{}}
+	r := &chassisRunner{src: &appendSource{records{benches: benches}}}
 	cfg.Source = r.src
 	if ch.Scenario.Checks || f.Checked {
 		r.checks = check.New()
@@ -107,10 +110,10 @@ func (r *chassisRunner) finish() chassisOut {
 	return out
 }
 
-// runEpochs executes the fleet closed-loop over the pre-generated stream.
-// The stream itself is identical to the open-loop one (same generator, same
+// runEpochs executes the fleet closed-loop over the arrival process. The
+// stream itself is identical to the open-loop one (same generator, same
 // seed); what changes is when routing decisions are made and what they see.
-func (f *Fleet) runEpochs(stream []arrival, horizon units.Seconds) (*Result, error) {
+func (f *Fleet) runEpochs(fd *feed) (*Result, error) {
 	n := len(f.chassis)
 	d, err := newClosedDispatcher(f.dispatcher, f.chassis)
 	if err != nil {
@@ -118,7 +121,7 @@ func (f *Fleet) runEpochs(stream []arrival, horizon units.Seconds) (*Result, err
 	}
 	runners := make([]*chassisRunner, n)
 	for i := 0; i < n; i++ {
-		r, err := f.newRunner(i)
+		r, err := f.newRunner(i, fd.benches)
 		if err != nil {
 			return nil, fmt.Errorf("chassis %s: %w", f.chassis[i].Name(), err)
 		}
@@ -126,7 +129,7 @@ func (f *Fleet) runEpochs(stream []arrival, horizon units.Seconds) (*Result, err
 	}
 	workers := f.workerCount()
 	res := &Result{
-		Picks:      make([]int, 0, len(stream)),
+		Picks:      make([]int, 0, poissonCap(fd.mean)),
 		Dispatcher: f.Dispatcher(),
 		Workers:    workers,
 		EpochS:     f.epoch,
@@ -141,6 +144,15 @@ func (f *Fleet) runEpochs(stream []arrival, horizon units.Seconds) (*Result, err
 	cum := make([]int, n)     // cumulative dispatched per chassis
 	win := make([]int, n)     // dispatched this window
 	arrived := make([]int, n) // observed arrivals at the last boundary
+	emit := func(i int, a arrival) {
+		runners[i].src.push(a)
+		win[i]++
+		cum[i]++
+		shadow[i].push(a.at + a.nominal)
+		if runners[i].tel != nil {
+			runners[i].tel.OnDispatch()
+		}
+	}
 	for i := 0; i < n; i++ {
 		runners[i].sim.Observe(&obs[i])
 		if runners[i].tel != nil {
@@ -153,47 +165,31 @@ func (f *Fleet) runEpochs(stream []arrival, horizon units.Seconds) (*Result, err
 	// every RunTo stops bit-equal to it (see the package comment above).
 	ticksPerEpoch := int(math.Round(float64(f.epoch) / float64(f.tick)))
 	boundary := units.Seconds(0)
-	next := 0 // stream cursor
 	for k := 0; ; k++ {
 		for t := 0; t < ticksPerEpoch; t++ {
 			boundary += f.tick
 		}
 		// Act: route this window's arrivals over the boundary-k snapshot.
 		d.observe(obs)
-		res.EpochStarts = append(res.EpochStarts, len(res.Picks))
-		windowStreamed := 0
-		for i := range win {
-			win[i] = 0
-		}
-		for next < len(stream) && stream[next].at < boundary {
-			a := stream[next]
-			i := d.pick(a.at, a.nominal)
-			runners[i].src.push(a)
-			res.Picks = append(res.Picks, i)
-			win[i]++
-			cum[i]++
-			windowStreamed++
-			heap.Push(&shadow[i], a.at+a.nominal)
-			if runners[i].tel != nil {
-				runners[i].tel.OnDispatch()
-			}
-			next++
-		}
+		start := len(res.Picks)
+		res.EpochStarts = append(res.EpochStarts, start)
+		clear(win)
+		res.Picks = fd.route(d, boundary, res.Picks, emit)
+		windowStreamed := len(res.Picks) - start
 		// Step: advance every chassis to the boundary in parallel. The
 		// barrier below is the determinism fence — no chassis observes or
 		// receives work while any other is mid-step.
 		parallelEach(workers, n, func(i int) {
 			runners[i].sim.RunTo(boundary)
+			runners[i].src.rewind()
 		})
 		// Observe: serial snapshot pass, plus the shadow-estimator audit.
 		for i := 0; i < n; i++ {
 			runners[i].sim.Observe(&obs[i])
 			arrived[i] = obs[i].Arrived
 			h := &shadow[i]
-			for h.Len() > 0 && (*h)[0] <= boundary {
-				heap.Pop(h)
-			}
-			e := h.Len() - obs[i].InFlight()
+			h.retire(boundary)
+			e := len(*h) - obs[i].InFlight()
 			if e < 0 {
 				e = -e
 			}
@@ -210,7 +206,7 @@ func (f *Fleet) runEpochs(stream []arrival, horizon units.Seconds) (*Result, err
 			return nil, err
 		}
 		res.Epochs++
-		if boundary >= horizon {
+		if boundary >= fd.horizon {
 			break
 		}
 	}
@@ -224,5 +220,5 @@ func (f *Fleet) runEpochs(stream []arrival, horizon units.Seconds) (*Result, err
 	for i := 0; i < n; i++ {
 		outs[i].estErr = estErr[i]
 	}
-	return f.assemble(len(stream), cum, outs, res)
+	return f.assemble(len(res.Picks), cum, outs, res)
 }

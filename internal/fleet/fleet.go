@@ -7,13 +7,14 @@
 //
 // Determinism is the package's contract, built from three mechanisms:
 //
-//  1. The fleet arrival stream is generated once, serially, by draining the
-//     same Poisson process a single simulator over the combined socket count
-//     would consume — so a fleet of one chassis replays the exact arrival
-//     sequence of a plain sim.Run and produces its bit-identical Result.
-//  2. Dispatch is a serial pass over that stream with a deterministic
-//     policy; each chassis receives a frozen replay slice before any
-//     simulation starts.
+//  1. The fleet arrival stream is drawn serially from the same Poisson
+//     process a single simulator over the combined socket count would
+//     consume — so a fleet of one chassis replays the exact arrival sequence
+//     of a plain sim.Run and produces its bit-identical Result.
+//  2. Generation and dispatch are one serial pass (feed.route): each arrival
+//     is routed by a deterministic policy the moment it is drawn and
+//     appended, as a compact record, to its chassis's replay window before
+//     any simulation consumes that window.
 //  3. Chassis simulate in a bounded worker pool writing into a
 //     position-indexed results slice, and the fleet aggregate is an ordered
 //     reduction over that slice (metrics.Aggregate) — the worker count can
@@ -37,6 +38,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -244,6 +246,15 @@ func (f *Fleet) SetWorkers(n int) { f.workers = n }
 // Epoch returns the closed-loop epoch period, or 0 for an open-loop fleet.
 func (f *Fleet) Epoch() units.Seconds { return f.epoch }
 
+// sockets returns the fleet's combined socket count.
+func (f *Fleet) sockets() int {
+	total := 0
+	for i := range f.chassis {
+		total += f.chassis[i].Sockets
+	}
+	return total
+}
+
 // workerCount resolves the effective pool size.
 func (f *Fleet) workerCount() int {
 	w := f.workers
@@ -332,26 +343,52 @@ type Result struct {
 	EpochStarts []int
 }
 
-// stream drains the fleet arrival process up to the template's horizon: the
-// same mix, combined socket count, load, and seed a single simulator over
-// the whole fleet would consume lazily. For a fleet of one chassis this is
-// bit-for-bit the sequence plain sim.Run would generate.
-func (f *Fleet) stream() ([]arrival, units.Seconds, error) {
+// feed is the fleet arrival process: the same mix, combined socket count,
+// load, and seed a single simulator over the whole fleet would consume
+// lazily, drawn on demand up to the template's horizon. For a fleet of one
+// chassis it yields bit-for-bit the sequence plain sim.Run would generate.
+type feed struct {
+	src     *workload.Arrivals
+	benches []workload.Benchmark // the table arrival.bench indexes
+	horizon units.Seconds
+	mean    float64 // expected arrival count over the horizon
+}
+
+func (f *Fleet) newFeed() (*feed, error) {
 	cfg, err := f.template.Config(f.seed)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	total := 0
-	for i := range f.chassis {
-		total += f.chassis[i].Sockets
+	total := f.sockets()
+	return &feed{
+		src:     workload.NewArrivals(cfg.Mix, total, cfg.Load, stats.NewRNG(f.seed)),
+		benches: cfg.Mix.Benchmarks(),
+		horizon: cfg.Duration,
+		mean:    cfg.Mix.ArrivalRate(total, cfg.Load) * float64(cfg.Duration),
+	}, nil
+}
+
+// route is the fleet's one generate-and-route pass, shared by both loop
+// modes: it draws arrivals while they fall before until (clipped to the
+// horizon), asks d for each one's chassis, hands the compact record to emit,
+// and appends the chassis index to picks — the dispatcher analog of a job
+// trace, and what the pick-sequence determinism oracle replays. Open loop
+// routes one window up to the horizon, closed loop one window per epoch.
+func (fd *feed) route(d dispatcher, until units.Seconds, picks []int, emit func(i int, a arrival)) []int {
+	until = min(until, fd.horizon)
+	for fd.src.Peek() < until {
+		at, b, nominal := fd.src.NextIndex()
+		i := d.pick(at, nominal)
+		emit(i, arrival{at: at, nominal: nominal, bench: int32(b)})
+		picks = append(picks, i)
 	}
-	src := workload.NewArrivals(cfg.Mix, total, cfg.Load, stats.NewRNG(f.seed))
-	var out []arrival
-	for src.Peek() < cfg.Duration {
-		at, b, nominal := src.Next()
-		out = append(out, arrival{at: at, bench: b, nominal: nominal})
-	}
-	return out, cfg.Duration, nil
+	return picks
+}
+
+// poissonCap sizes a slice for a Poisson count of the given mean: four
+// standard deviations of headroom, so it almost never regrows.
+func poissonCap(mean float64) int {
+	return int(mean+4*math.Sqrt(mean)) + 16
 }
 
 // chassisOut is one worker's result slot.
@@ -399,33 +436,43 @@ func parallelEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Run executes the fleet. Open loop: generate the stream, dispatch it
-// serially over estimated state, shard the chassis across the worker pool,
-// and reduce in canonical order. Closed loop (fleet.epoch set): hand the
-// stream to the epoch executor, which interleaves observation, dispatch, and
-// tick-aligned RunTo windows until the horizon, then drains. Both paths end
-// in the same ordered reduction and closure audit (assemble).
+// Run executes the fleet. Open loop: route the whole stream in one window
+// over estimated state, shard the chassis across the worker pool, and reduce
+// in canonical order. Closed loop (fleet.epoch set): hand the arrival
+// process to the epoch executor, which interleaves observation, per-window
+// routing, and tick-aligned RunTo windows until the horizon, then drains.
+// Both paths end in the same ordered reduction and closure audit (assemble).
 func (f *Fleet) Run() (*Result, error) {
-	stream, horizon, err := f.stream()
+	fd, err := f.newFeed()
 	if err != nil {
 		return nil, err
 	}
 	if f.epoch > 0 {
-		return f.runEpochs(stream, horizon)
+		return f.runEpochs(fd)
 	}
 	d, err := newDispatcher(f.dispatcher, f.chassis)
 	if err != nil {
 		return nil, err
 	}
-	assigns, picks := dispatch(d, stream, len(f.chassis))
+	// Each chassis's window is pre-sized for its socket share of the
+	// expected stream; a policy that skews routing grows a few of them.
+	total := f.sockets()
+	assigns := make([][]arrival, len(f.chassis))
+	for i := range assigns {
+		share := float64(f.chassis[i].Sockets) / float64(total)
+		assigns[i] = make([]arrival, 0, poissonCap(fd.mean*share))
+	}
+	picks := fd.route(d, fd.horizon, make([]int, 0, poissonCap(fd.mean)), func(i int, a arrival) {
+		assigns[i] = append(assigns[i], a)
+	})
 
-	// Bounded worker pool over a position-indexed output slice: workers
-	// race only on the jobs channel, never on results, and the reduction
-	// below walks outs in canonical chassis order.
+	// Bounded worker pool over a position-indexed output slice: each worker
+	// owns a contiguous batch of chassis and writes only its own slots, and
+	// the reduction below walks outs in canonical chassis order.
 	outs := make([]chassisOut, len(f.chassis))
 	workers := f.workerCount()
 	parallelEach(workers, len(f.chassis), func(i int) {
-		outs[i] = f.runChassis(i, assigns[i])
+		outs[i] = f.runChassis(i, newReplaySource(fd.benches, assigns[i]))
 	})
 
 	dispatched := make([]int, len(f.chassis))
@@ -437,7 +484,7 @@ func (f *Fleet) Run() (*Result, error) {
 		Dispatcher: f.Dispatcher(),
 		Workers:    workers,
 	}
-	return f.assemble(len(stream), dispatched, outs, res)
+	return f.assemble(len(picks), dispatched, outs, res)
 }
 
 // assemble is the ordered reduction both loop modes share: fold the
@@ -499,14 +546,14 @@ func (f *Fleet) assemble(streamed int, dispatched []int, outs []chassisOut, res 
 	return res, nil
 }
 
-// runChassis simulates one chassis over its dispatched slice.
-func (f *Fleet) runChassis(i int, assigned []arrival) chassisOut {
+// runChassis simulates one chassis over its dispatched arrivals.
+func (f *Fleet) runChassis(i int, src *replaySource) chassisOut {
 	ch := &f.chassis[i]
 	cfg, err := ch.Scenario.Config(f.seed)
 	if err != nil {
 		return chassisOut{err: err}
 	}
-	cfg.Source = newReplaySource(assigned)
+	cfg.Source = src
 	var h *check.Checks
 	if ch.Scenario.Checks || f.Checked {
 		h = check.New()
@@ -514,7 +561,7 @@ func (f *Fleet) runChassis(i int, assigned []arrival) chassisOut {
 	}
 	if f.Telemetry != nil {
 		tel := f.Telemetry.For(ch.Name())
-		for range assigned {
+		for range src.arrivals {
 			tel.OnDispatch()
 		}
 		cfg.Telemetry = tel

@@ -257,8 +257,8 @@ func TestFleetWarmStartEquivalence(t *testing.T) {
 }
 
 // TestFleetSeedSensitivity: different fleet seeds must produce different
-// streams (a degenerate stream() would pass every equivalence test above by
-// being constant).
+// streams (a degenerate arrival feed would pass every equivalence test above
+// by being constant).
 func TestFleetSeedSensitivity(t *testing.T) {
 	sc := uniformFleet(2, "round-robin")
 	a := mustRun(t, sc, 1, nil)

@@ -161,9 +161,17 @@ func (a *Arrivals) Peek() units.Seconds {
 // Next consumes the next arrival, returning its time, benchmark, and
 // sampled nominal duration (the FMax run time).
 func (a *Arrivals) Next() (at units.Seconds, b Benchmark, dur units.Seconds) {
+	at, i, dur := a.NextIndex()
+	return at, a.mix.benchmarks[i], dur
+}
+
+// NextIndex consumes the next arrival exactly as Next does — same draws from
+// the same RNG in the same order — but returns the benchmark as its index
+// into the mix's Benchmarks table rather than a copy of it.
+func (a *Arrivals) NextIndex() (at units.Seconds, bench int, dur units.Seconds) {
 	at = a.next
-	b = a.mix.Sample(a.rng)
-	dur = b.SampleDuration(a.rng)
+	bench = a.rng.Intn(len(a.mix.benchmarks))
+	dur = a.mix.benchmarks[bench].SampleDuration(a.rng)
 	a.advance()
-	return at, b, dur
+	return at, bench, dur
 }

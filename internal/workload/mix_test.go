@@ -189,3 +189,33 @@ func TestPowerMapForUnknownBlock(t *testing.T) {
 		t.Error("unknown block accepted")
 	}
 }
+
+// TestNextIndexMatchesNext: NextIndex draws from the RNG exactly as Next
+// does, and both reproduce the process's defining draw order — gap at
+// construction, then per arrival a uniform benchmark, its duration, and the
+// next gap — rebuilt here from the public pieces.
+func TestNextIndexMatchesNext(t *testing.T) {
+	m := ClassMix(GeneralPurpose)
+	for _, seed := range []uint64{1, 7} {
+		byValue := NewArrivals(m, 720, 0.5, stats.NewRNG(seed))
+		byIndex := NewArrivals(m, 720, 0.5, stats.NewRNG(seed))
+		refRNG := stats.NewRNG(seed)
+		gap := stats.Exponential{Mean: 1 / m.ArrivalRate(720, 0.5)}
+		refAt := units.Seconds(gap.Sample(refRNG))
+		for k := 0; k < 20000; k++ {
+			at, b, dur := byValue.Next()
+			iat, i, idur := byIndex.NextIndex()
+			refB := m.Sample(refRNG)
+			refDur := refB.SampleDuration(refRNG)
+			if at != iat || b != m.Benchmarks()[i] || dur != idur {
+				t.Fatalf("seed %d draw %d: Next = (%v, %s, %v), NextIndex = (%v, %s, %v)",
+					seed, k, at, b.Name, dur, iat, m.Benchmarks()[i].Name, idur)
+			}
+			if at != refAt || b != refB || dur != refDur {
+				t.Fatalf("seed %d draw %d: Next = (%v, %s, %v), reference draw order gives (%v, %s, %v)",
+					seed, k, at, b.Name, dur, refAt, refB.Name, refDur)
+			}
+			refAt += units.Seconds(gap.Sample(refRNG))
+		}
+	}
+}
