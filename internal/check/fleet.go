@@ -53,7 +53,7 @@ func FleetClosure(streamed int, dispatched, arrived, completed, unfinished []int
 // the boundary. Because dispatch for a window happens before the window is
 // simulated and every dispatched arrival lies strictly before the boundary,
 // observed arrivals must exactly equal cumulative dispatched — any gap is a
-// routing or replay bug in the epoch executor, caught at the first boundary
+// routing or replay bug in the fleet executor, caught at the first boundary
 // it appears instead of at end of run.
 func EpochClosure(epoch, windowStreamed int, windowDispatched, cumDispatched, observedArrived []int) error {
 	n := len(windowDispatched)

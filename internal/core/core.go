@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"densim/internal/check"
 	"densim/internal/metrics"
@@ -266,7 +265,7 @@ func (e *Experiment) Run() (metrics.Result, error) {
 		if err != nil {
 			return metrics.Result{}, fmt.Errorf("core: snapshotting at warmup: %w", err)
 		}
-		if err := writeFileAtomic(e.sc.Snapshot.Save, data); err != nil {
+		if err := sim.WriteFileAtomic(e.sc.Snapshot.Save, data); err != nil {
 			return metrics.Result{}, fmt.Errorf("core: writing snapshot: %w", err)
 		}
 		res = s.Finish()
@@ -287,27 +286,6 @@ func (e *Experiment) Run() (metrics.Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// writeFileAtomic writes data through a temp file plus rename so a crashed
-// or concurrent run never leaves a half-written snapshot at path (a partial
-// file would be rejected by the digest check anyway; this keeps it from
-// existing at all).
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // Compare runs the same study under several schedulers and reports each

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -264,7 +263,7 @@ func (r *Runner) runScenario(sc *scenario.Scenario, telFor func() *telemetry.Tel
 				errs[i] = err
 				return
 			}
-			results[i] = r.runSim(s, cfg)
+			results[i] = s.RunWarm(r.opts.WarmDir)
 			if h != nil {
 				if err := h.Err(); err != nil {
 					errs[i] = fmt.Errorf("seed %d: %w", seed, err)
@@ -279,56 +278,6 @@ func (r *Runner) runScenario(sc *scenario.Scenario, telFor func() *telemetry.Tel
 		}
 	}
 	return averageResults(results), nil
-}
-
-// runSim executes one simulation, warm-starting from the WarmDir snapshot
-// cache when enabled. Cache hits restore the saved warmup state and simulate
-// only the measured window; misses simulate the warmup once, capture it, and
-// finish — so the next run with the same identity forks from the capture.
-// Any failure along the warm path (unsnapshottable run, corrupt or
-// mismatched capture, unwritable cache) degrades to the cold path, never to
-// an error: the cache is a pure accelerator.
-func (r *Runner) runSim(s *sim.Simulator, cfg sim.Config) metrics.Result {
-	if r.opts.WarmDir == "" || cfg.Checks != nil || cfg.Telemetry != nil {
-		return s.Run()
-	}
-	key, err := s.SnapshotKey()
-	if err != nil {
-		return s.Run()
-	}
-	path := filepath.Join(r.opts.WarmDir, key+".dsnp")
-	if data, err := os.ReadFile(path); err == nil {
-		if err := s.Restore(data); err == nil {
-			return s.Finish()
-		}
-		// Restore fails closed without touching the simulator, so a bad
-		// capture leaves a pristine cold run that rewrites it below.
-	}
-	s.RunTo(cfg.Warmup)
-	if data, err := s.Snapshot(); err == nil {
-		writeFileAtomic(path, data) // best-effort: a lost write only costs the next warmup
-	}
-	return s.Finish()
-}
-
-// writeFileAtomic writes data through a temp file plus rename, so concurrent
-// sweeps racing on one cache entry each land a complete capture (a partial
-// file would be rejected by the snapshot digest anyway).
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // averageResults merges per-seed results by arithmetic mean — every field,

@@ -23,8 +23,8 @@ import (
 func FleetSizes() []int { return []int{2, 4} }
 
 // FleetEpochs returns the default loop-mode axis: open loop (0) against a
-// closed loop observing every 0.25s — the head-to-head the epoch executor
-// exists to answer.
+// closed loop observing every 0.25s — the head-to-head the fleet's epochs
+// exist to answer.
 func FleetEpochs() []float64 { return []float64{0, 0.25} }
 
 // HotAisleInletC is the sweep's rack-1 inlet temperature: the +6C hot aisle

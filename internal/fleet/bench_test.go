@@ -5,7 +5,8 @@ package fleet
 // 0.25s epoch (BenchmarkFleetEpoch16). Results are bit-identical across the
 // workers axis (the equivalence suite proves that); this measures the only
 // thing workers are allowed to change — wall-clock time — and, between the
-// two benchmarks, the epoch executor's observe/dispatch fence overhead.
+// two benchmarks, the epochs' observe/dispatch fence overhead over the
+// executor's zero-epoch case.
 // BENCH_PR8.json and BENCH_PR9.json record runs of these benchmarks;
 // scripts/bench.sh fleetgate holds the closed/open ratio in CI.
 // BenchmarkFleet2x2 is the profiling target for the shipped fleet preset:

@@ -5,15 +5,18 @@ package fleet
 // paper's question one level up — does awareness of thermal context pay
 // before placement? — becomes the choice between these policies.
 //
-// Every policy is deterministic and open-loop: dispatch runs serially over
-// the whole stream before any chassis simulates, so policies see estimated
-// chassis state (each routed job assumed to run for its nominal FMax
-// duration), never live simulation state. That estimate is deliberately
-// crude — queueing and thermal throttling stretch real service times — but
-// it is the price of a dispatch that is bit-reproducible and independent of
-// the worker pool. Ties always break toward the lowest chassis index, and
-// chassis are canonically ordered by (rack, slot), so the pick sequence is a
-// pure function of (policy, fleet, stream).
+// Every policy is deterministic and sits behind one observe/pick interface,
+// in one of two forms chosen by the loop mode. The estimated form (open loop)
+// never reads observations: it routes over estimated chassis state, each
+// routed job assumed to run for its nominal FMax duration. That estimate is
+// deliberately crude — queueing and thermal throttling stretch real service
+// times — but it needs nothing from the simulation, so the whole stream can
+// be routed before any chassis simulates. The observed form (closed loop)
+// ranks on the true per-chassis state the executor reports at every epoch
+// boundary. Either way routing is a serial pass independent of the worker
+// pool. Ties always break toward the lowest chassis index, and chassis are
+// canonically ordered by (rack, slot), so the pick sequence is a pure
+// function of (policy, fleet, stream, epoch period).
 
 import (
 	"fmt"
@@ -24,29 +27,45 @@ import (
 	"densim/internal/units"
 )
 
-// dispatcher routes one arrival to a chassis index.
+// dispatcher is the fleet's one routing interface, and the control seam a
+// gym-style external controller would implement: the executor calls observe
+// with every chassis's true state (indexed by canonical chassis order) at
+// each epoch boundary, including the fleet's t=0 state before the first
+// window, and pick once per arrival to route it to a chassis index.
+// Open-loop runs have no boundaries, so their dispatchers are never shown
+// an observation.
 type dispatcher interface {
+	observe(obs []sim.Observation)
 	pick(at, nominal units.Seconds) int
 }
 
-// newDispatcher builds the named policy over the fleet's chassis. The empty
-// name is round-robin.
-func newDispatcher(name string, chassis []Chassis) (dispatcher, error) {
+// newDispatcher builds the named policy over the fleet's chassis: the
+// observed form when closed is set, else the estimated one. The empty name
+// is round-robin, which has a single form — the cycle ignores observations
+// by construction.
+func newDispatcher(name string, chassis []Chassis, closed bool) (dispatcher, error) {
 	switch name {
 	case "", "round-robin":
 		return &roundRobin{n: len(chassis)}, nil
-	case "least-loaded":
-		return newEstimated(chassis, false), nil
-	case "thermal":
-		return newEstimated(chassis, true), nil
+	case "least-loaded", "thermal":
+		thermal := name == "thermal"
+		if closed {
+			return newObserved(chassis, thermal), nil
+		}
+		return newEstimated(chassis, thermal), nil
 	default:
 		return nil, fmt.Errorf("fleet: unknown dispatcher %q", name)
 	}
 }
 
 // roundRobin cycles the chassis in canonical order — the zero-knowledge
-// baseline every informed policy has to beat.
+// baseline every informed policy has to beat. Because it ignores
+// observations, closed-loop round-robin routes bit-identical per-chassis
+// streams to open-loop round-robin, which is what proves the epoch windows
+// themselves are bit-exact (TestClosedLoopRoundRobin).
 type roundRobin struct{ n, next int }
+
+func (r *roundRobin) observe([]sim.Observation) {}
 
 func (r *roundRobin) pick(units.Seconds, units.Seconds) int {
 	i := r.next
@@ -54,12 +73,12 @@ func (r *roundRobin) pick(units.Seconds, units.Seconds) int {
 	return i
 }
 
-// estimated tracks per-chassis in-flight work as a min-heap of estimated
-// completion instants (dispatch time + nominal duration). Both informed
-// policies share it: least-loaded ranks by estimated utilization alone,
-// thermal scales each chassis's ambient headroom by its estimated idleness —
-// a hot-aisle chassis only wins when the cool ones are busy enough to have
-// spent their advantage.
+// estimated is the open-loop form of the informed policies: it tracks
+// per-chassis in-flight work as a min-heap of estimated completion instants
+// (dispatch time + nominal duration). Least-loaded ranks by estimated
+// utilization alone, thermal scales each chassis's ambient headroom by its
+// estimated idleness — a hot-aisle chassis only wins when the cool ones are
+// busy enough to have spent their advantage.
 type estimated struct {
 	chassis  []Chassis
 	inflight []completionHeap
@@ -73,6 +92,8 @@ func newEstimated(chassis []Chassis, thermal bool) *estimated {
 		thermal:  thermal,
 	}
 }
+
+func (e *estimated) observe([]sim.Observation) {}
 
 func (e *estimated) pick(at, nominal units.Seconds) int {
 	best, bestScore := 0, 0.0
@@ -153,54 +174,13 @@ func (h *completionHeap) retire(t units.Seconds) {
 	}
 }
 
-// closedDispatcher is the closed-loop half of the seam: the epoch executor
-// feeds it true per-chassis observations at every tick-aligned boundary,
-// and it routes the next window's arrivals over what it saw instead of what
-// it estimated. The observe/pick split is deliberately the whole interface —
-// a future gym-style external controller is exactly an implementation of
-// these two calls.
-type closedDispatcher interface {
-	dispatcher
-	// observe installs the boundary snapshot, indexed by canonical chassis
-	// order. Called once before each dispatch window (including the first,
-	// with the fleet's t=0 state).
-	observe(obs []sim.Observation)
-}
-
-// newClosedDispatcher builds the named policy's closed-loop variant over the
-// fleet's chassis. The same names resolve here as in newDispatcher: every
-// policy has both an open- and a closed-loop form.
-func newClosedDispatcher(name string, chassis []Chassis) (closedDispatcher, error) {
-	switch name {
-	case "", "round-robin":
-		return &closedRoundRobin{roundRobin{n: len(chassis)}}, nil
-	case "least-loaded":
-		return newObserved(chassis, false), nil
-	case "thermal":
-		return newObserved(chassis, true), nil
-	default:
-		return nil, fmt.Errorf("fleet: unknown dispatcher %q", name)
-	}
-}
-
-// closedRoundRobin is round-robin with its eyes open and its behavior
-// unchanged: the cycle ignores observations by construction. That identity
-// is load-bearing — closed-loop round-robin must produce the bit-identical
-// per-chassis streams of open-loop round-robin, which is what proves the
-// epoch-stepped executor itself is bit-exact (TestClosedLoopRoundRobin
-// pins it against the pipeline).
-type closedRoundRobin struct{ roundRobin }
-
-func (c *closedRoundRobin) observe([]sim.Observation) {}
-
-// observed is the closed-loop counterpart of estimated, shared by the
-// informed policies: instead of a min-heap of assumed completion instants,
-// it ranks on the in-flight depth and ambient headroom each chassis
-// actually reported at the last boundary, plus the jobs routed to it within
-// the current window (pending — dispatched but not yet visible in any
-// observation). Dead sockets shrink a chassis's capacity, so a half-dead
-// chassis saturates at half the load — state the open-loop estimator cannot
-// see at all.
+// observed is the closed-loop form of the informed policies: instead of a
+// min-heap of assumed completion instants, it ranks on the in-flight depth
+// and ambient headroom each chassis actually reported at the last boundary,
+// plus the jobs routed to it within the current window (pending —
+// dispatched but not yet visible in any observation). Dead sockets shrink a
+// chassis's capacity, so a half-dead chassis saturates at half the load —
+// state the open-loop estimator cannot see at all.
 type observed struct {
 	chassis  []Chassis
 	thermal  bool

@@ -1,19 +1,23 @@
 package fleet
 
-// The closed-loop equivalence suite: every determinism guarantee the open-
-// loop pipeline earns in fleet_test.go, re-earned by the epoch executor —
-// plus the oracles that only exist because of the loop itself: epoch-zero
-// byte-equivalence with the pipeline, closed round-robin byte-equivalence
-// with open round-robin (the executor's own bit-exactness proof), and
-// epoch-length invariance of the completion count on throttle-free runs.
+// The closed-loop equivalence suite: every determinism guarantee the
+// zero-epoch (open-loop) case earns in fleet_test.go, re-earned with epochs
+// stepped — plus the oracles that only exist because of the loop itself:
+// epoch-zero byte-equivalence with an absent epoch block, closed round-robin
+// byte-equivalence with open round-robin (the epoch windows' own
+// bit-exactness proof), epoch-length invariance of the completion count on
+// throttle-free runs, warm starts confined to the zero-epoch case, and the
+// per-chassis telemetry counters in both cases.
 
 import (
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"densim/internal/scenario"
 	"densim/internal/sim"
+	"densim/internal/telemetry"
 )
 
 // closedFleet is uniformFleet with a closed-loop epoch block.
@@ -64,9 +68,10 @@ func sameLoopResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestEpochZeroEquivalence: an absent epoch block, an explicit epoch 0, and
-// the PR-8 pipeline are the same thing — byte for byte, every dispatcher.
-// Epoch 0 must not merely approximate the open-loop path; it must *be* it.
+// TestEpochZeroEquivalence: an absent epoch block and an explicit epoch 0 are
+// the same run — byte for byte, every dispatcher — and both are the
+// executor's zero-epoch case, carrying no epoch bookkeeping and no shadow
+// estimate.
 func TestEpochZeroEquivalence(t *testing.T) {
 	for _, disp := range scenario.FleetDispatchers() {
 		absent := hotColdFleet(disp, 0)
@@ -89,8 +94,9 @@ func TestEpochZeroEquivalence(t *testing.T) {
 // TestClosedLoopRoundRobin: closed-loop round-robin must reproduce open-loop
 // round-robin bit for bit. Round-robin ignores observations by construction,
 // so both modes route identical per-chassis streams — any physical
-// difference would be a bug in the epoch executor itself (RunTo windows,
-// source appends, drain), making this the executor's bit-exactness oracle.
+// difference would be a bug in the epoch windows themselves (RunTo steps,
+// source pushes and rewinds, drain), making this their bit-exactness
+// oracle.
 func TestClosedLoopRoundRobin(t *testing.T) {
 	open := mustRun(t, hotColdFleet("round-robin", 0), 1, nil)
 	closed := mustRun(t, hotColdFleet("round-robin", 0.25), 1, nil)
@@ -283,6 +289,80 @@ func TestClosedLoopEstErr(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("open-loop estimate never diverged at load 0.9; shadow estimator is not measuring")
+	}
+}
+
+// TestClosedLoopIgnoresWarmDir: every chassis source carries a signature,
+// but only the zero-epoch case may warm-start — a closed-loop chassis's
+// source holds one window, not its stream, by the time it drains. With
+// WarmDir set, closed-loop runs must match a cold run byte for byte and
+// leave the cache empty; so must an instrumented open loop. An
+// uninstrumented open loop over the same directory is the positive control.
+func TestClosedLoopIgnoresWarmDir(t *testing.T) {
+	empty := func(label, dir string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("%s: wrote %d warm-start cache entries, want none", label, len(entries))
+		}
+	}
+	for _, disp := range []string{"thermal", "least-loaded"} {
+		sc := hotColdFleet(disp, 0.25)
+		cold := mustRun(t, sc, 1, nil)
+		dir := t.TempDir()
+		warm := mustRun(t, sc, 1, func(f *Fleet) { f.WarmDir = dir })
+		sameResult(t, disp+": closed loop cold vs WarmDir", cold, warm)
+		empty(disp+" closed loop", dir)
+	}
+
+	sc := hotColdFleet("thermal", 0)
+	cold := mustRun(t, sc, 1, nil)
+	dir := t.TempDir()
+	traced := mustRun(t, sc, 1, func(f *Fleet) {
+		f.WarmDir = dir
+		f.Telemetry = telemetry.NewSet()
+	})
+	sameResult(t, "open loop cold vs instrumented WarmDir", cold, traced)
+	empty("instrumented open loop", dir)
+	mustRun(t, sc, 1, func(f *Fleet) { f.WarmDir = dir })
+	if entries, _ := os.ReadDir(dir); len(entries) == 0 {
+		t.Error("uninstrumented open loop wrote no warm-start cache entry")
+	}
+}
+
+// TestFleetTelemetryCounters: the per-chassis fleet counters agree with the
+// result they instrument. dispatched counts the routing pass's picks, in
+// both loop modes; epochs, observations (one per boundary plus the t=0
+// snapshot) and dispatch_est_err exist only once epochs are stepped.
+func TestFleetTelemetryCounters(t *testing.T) {
+	for _, period := range []float64{0, 0.25} {
+		set := telemetry.NewSet()
+		res := mustRun(t, hotColdFleet("thermal", period), 1, func(f *Fleet) { f.Telemetry = set })
+		if period > 0 && res.Epochs == 0 {
+			t.Fatalf("epoch %gs: closed-loop run stepped no epochs", period)
+		}
+		for _, cr := range res.Chassis {
+			tel := set.For(cr.Name())
+			want := map[telemetry.CounterID]int{
+				telemetry.CDispatched:     cr.Dispatched,
+				telemetry.CEpochs:         0,
+				telemetry.CObservations:   0,
+				telemetry.CDispatchEstErr: 0,
+			}
+			if period > 0 {
+				want[telemetry.CEpochs] = res.Epochs
+				want[telemetry.CObservations] = res.Epochs + 1
+				want[telemetry.CDispatchEstErr] = cr.EstErr
+			}
+			for id, w := range want {
+				if got := tel.Counter(id); got != int64(w) {
+					t.Errorf("epoch %gs: chassis %s %s = %d, want %d", period, cr.Name(), id.Name(), got, w)
+				}
+			}
+		}
 	}
 }
 

@@ -13,22 +13,23 @@
 //     of a plain sim.Run and produces its bit-identical Result.
 //  2. Generation and dispatch are one serial pass (feed.route): each arrival
 //     is routed by a deterministic policy the moment it is drawn and
-//     appended, as a compact record, to its chassis's replay window before
+//     pushed, as a compact record, to its chassis's replay source before
 //     any simulation consumes that window.
 //  3. Chassis simulate in a bounded worker pool writing into a
 //     position-indexed results slice, and the fleet aggregate is an ordered
 //     reduction over that slice (metrics.Aggregate) — the worker count can
 //     change wall-clock time only, never a byte of the result.
 //
-// Fleets run in one of two loop modes. Open loop (the default, and the only
-// mode before the epoch executor existed) dispatches the entire stream before
-// any chassis simulates, over estimated chassis state. Closed loop (a
-// fleet.epoch block, epoch.go) interleaves dispatch and simulation in
-// tick-aligned epochs: each boundary, the dispatcher observes every chassis's
-// true state through sim.Observe and routes the next window over what it saw.
-// Determinism survives the feedback because each epoch repeats the same
-// serial-dispatch / parallel-step / serial-observe shape — the worker pool
-// still only parallelizes simulation between two serial fences.
+// One executor (executor.go) runs every fleet as zero or more tick-aligned
+// epochs followed by one last window up to the horizon. A closed-loop fleet
+// (a fleet.epoch block) steps epochs: each boundary, the dispatcher observes
+// every chassis's true state through sim.Observe and routes the next window
+// over what it saw. An open-loop fleet (the default) is the zero-epoch case:
+// its last window is the entire stream, routed over estimated chassis state
+// before any chassis simulates. Determinism survives the feedback because
+// each epoch repeats the same serial-dispatch / parallel-step /
+// serial-observe shape — the worker pool still only parallelizes simulation
+// between two serial fences.
 //
 // The fleet equivalence suite (fleet_test.go, epoch_test.go) holds the
 // package to exactly that standard, the way TestEngineEquivalenceMatrix holds
@@ -39,8 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -48,7 +47,6 @@ import (
 	"densim/internal/check"
 	"densim/internal/metrics"
 	"densim/internal/scenario"
-	"densim/internal/sim"
 	"densim/internal/stats"
 	"densim/internal/telemetry"
 	"densim/internal/units"
@@ -79,13 +77,14 @@ func (c *Chassis) Name() string { return fmt.Sprintf("r%dc%d", c.Rack, c.Slot) }
 // Fleet is a resolved, runnable fleet. Build with New; the optional fields
 // may be set before Run.
 type Fleet struct {
-	// WarmDir enables the per-chassis warm-start cache: each chassis's
-	// warmup state is cached keyed by its snapshot signature (which includes
-	// its replay-stream identity), exactly like experiments.SimOptions'
-	// WarmDir. Results are bit-identical either way. Checked or
-	// telemetry-instrumented chassis always run cold, and closed-loop runs
-	// ignore WarmDir entirely — a chassis's stream is only discovered epoch
-	// by epoch, so there is no replay identity to key a cache on.
+	// WarmDir enables the per-chassis warm-start cache (sim.RunWarm): each
+	// chassis's warmup state is cached keyed by its snapshot signature
+	// (which includes its replay-stream identity), exactly like
+	// experiments.SimOptions' WarmDir. Results are bit-identical either way.
+	// Checked or telemetry-instrumented chassis always run cold, and
+	// closed-loop runs ignore WarmDir entirely: only the zero-epoch case
+	// routes a chassis's whole stream before it simulates, and a chassis
+	// stepped through epochs has passed its warmup by the drain.
 	WarmDir string
 	// Telemetry instruments every chassis, each labeled with its grid name
 	// ("r0c1"), including the per-chassis dispatched counter. Nil disables.
@@ -142,12 +141,8 @@ func New(sc *scenario.Scenario, seed uint64) (*Fleet, error) {
 		return f.chassis[a].Slot < f.chassis[b].Slot
 	})
 	// The dispatcher name was validated declaratively; building it here
-	// surfaces any drift between the two layers at New time (both loop
-	// variants, so a policy missing its closed-loop form fails at New).
-	if _, err := newDispatcher(f.dispatcher, f.chassis); err != nil {
-		return nil, err
-	}
-	if _, err := newClosedDispatcher(f.dispatcher, f.chassis); err != nil {
+	// surfaces any drift between the two layers at New time.
+	if _, err := newDispatcher(f.dispatcher, f.chassis, false); err != nil {
 		return nil, err
 	}
 	if sc.Fleet.Epoch != nil && sc.Fleet.Epoch.PeriodS > 0 {
@@ -307,8 +302,9 @@ type ChassisResult struct {
 	Ledger *Ledger
 	// EstErr is the accumulated |estimated − observed| in-flight divergence
 	// of the shadow open-loop estimator at each epoch boundary — how far the
-	// PR-8 pipeline's picture of this chassis drifted from what a closed-loop
-	// observer actually saw. Always 0 on open-loop runs (nothing observes).
+	// estimated dispatchers' picture of this chassis drifted from what a
+	// closed-loop observer actually saw. Always 0 on open-loop runs (there
+	// are no boundaries to observe).
 	EstErr int
 }
 
@@ -368,12 +364,13 @@ func (f *Fleet) newFeed() (*feed, error) {
 	}, nil
 }
 
-// route is the fleet's one generate-and-route pass, shared by both loop
-// modes: it draws arrivals while they fall before until (clipped to the
-// horizon), asks d for each one's chassis, hands the compact record to emit,
-// and appends the chassis index to picks — the dispatcher analog of a job
-// trace, and what the pick-sequence determinism oracle replays. Open loop
-// routes one window up to the horizon, closed loop one window per epoch.
+// route is the fleet's one generate-and-route pass: it draws arrivals while
+// they fall before until (clipped to the horizon), asks d for each one's
+// chassis, hands the compact record to emit, and appends the chassis index
+// to picks — the dispatcher analog of a job trace, and what the
+// pick-sequence determinism oracle replays. The executor
+// calls it once per epoch and once more for the last window up to the
+// horizon — the whole stream, on an open loop.
 func (fd *feed) route(d dispatcher, until units.Seconds, picks []int, emit func(i int, a arrival)) []int {
 	until = min(until, fd.horizon)
 	for fd.src.Peek() < until {
@@ -402,12 +399,12 @@ type chassisOut struct {
 }
 
 // parallelEach runs fn(0..n-1) across a bounded worker pool — the fleet's one
-// concurrency primitive, shared by the open-loop pipeline and every epoch
-// step. Worker w owns the contiguous batch [w*n/W, (w+1)*n/W): no shared jobs
-// channel, no per-item handoff, and position-indexed outputs land in
-// contiguous runs per worker (adjacent slots share a writer except at batch
-// boundaries, so result buffers don't ping-pong between caches). The epoch
-// executor calls this once per epoch step, where per-item channel sends —
+// concurrency primitive, used for runner construction, every epoch step and
+// the drain. Worker w owns the contiguous batch [w*n/W, (w+1)*n/W): no
+// shared jobs channel, no per-item handoff, and position-indexed outputs
+// land in contiguous runs per worker (adjacent slots share a writer except
+// at batch boundaries, so result buffers don't ping-pong between caches).
+// The executor calls this once per epoch step, where per-item channel sends —
 // one synchronized wakeup per chassis per step — used to dominate the short
 // RunTo windows and drag the 4-worker run below the 1-worker baseline.
 // workers <= 1 runs inline, which keeps single-worker runs trivially serial
@@ -436,63 +433,12 @@ func parallelEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Run executes the fleet. Open loop: route the whole stream in one window
-// over estimated state, shard the chassis across the worker pool, and reduce
-// in canonical order. Closed loop (fleet.epoch set): hand the arrival
-// process to the epoch executor, which interleaves observation, per-window
-// routing, and tick-aligned RunTo windows until the horizon, then drains.
-// Both paths end in the same ordered reduction and closure audit (assemble).
-func (f *Fleet) Run() (*Result, error) {
-	fd, err := f.newFeed()
-	if err != nil {
-		return nil, err
-	}
-	if f.epoch > 0 {
-		return f.runEpochs(fd)
-	}
-	d, err := newDispatcher(f.dispatcher, f.chassis)
-	if err != nil {
-		return nil, err
-	}
-	// Each chassis's window is pre-sized for its socket share of the
-	// expected stream; a policy that skews routing grows a few of them.
-	total := f.sockets()
-	assigns := make([][]arrival, len(f.chassis))
-	for i := range assigns {
-		share := float64(f.chassis[i].Sockets) / float64(total)
-		assigns[i] = make([]arrival, 0, poissonCap(fd.mean*share))
-	}
-	picks := fd.route(d, fd.horizon, make([]int, 0, poissonCap(fd.mean)), func(i int, a arrival) {
-		assigns[i] = append(assigns[i], a)
-	})
-
-	// Bounded worker pool over a position-indexed output slice: each worker
-	// owns a contiguous batch of chassis and writes only its own slots, and
-	// the reduction below walks outs in canonical chassis order.
-	outs := make([]chassisOut, len(f.chassis))
-	workers := f.workerCount()
-	parallelEach(workers, len(f.chassis), func(i int) {
-		outs[i] = f.runChassis(i, newReplaySource(fd.benches, assigns[i]))
-	})
-
-	dispatched := make([]int, len(f.chassis))
-	for i := range assigns {
-		dispatched[i] = len(assigns[i])
-	}
-	res := &Result{
-		Picks:      picks,
-		Dispatcher: f.Dispatcher(),
-		Workers:    workers,
-	}
-	return f.assemble(len(picks), dispatched, outs, res)
-}
-
-// assemble is the ordered reduction both loop modes share: fold the
-// position-indexed chassis outputs into per-chassis results, merge the fault
-// ledgers, audit the fleet-level closure, and aggregate. streamed and
-// dispatched feed the closure audit; res arrives carrying the loop-specific
-// fields (picks, workers, epoch accounting) already set.
-func (f *Fleet) assemble(streamed int, dispatched []int, outs []chassisOut, res *Result) (*Result, error) {
+// assemble is the executor's ordered reduction: fold the position-indexed
+// chassis outputs into per-chassis results, merge the fault ledgers, audit
+// the fleet-level closure, and aggregate. res arrives carrying the routing
+// record (picks, workers, epoch accounting) already set; it and dispatched
+// feed the closure audit.
+func (f *Fleet) assemble(dispatched []int, outs []chassisOut, res *Result) (*Result, error) {
 	var errs []error
 	results := make([]metrics.Result, 0, len(f.chassis))
 	arrived := make([]int, len(f.chassis))
@@ -539,100 +485,9 @@ func (f *Fleet) assemble(streamed int, dispatched []int, outs []chassisOut, res 
 	// The fleet-level closure audit: every dispatched job arrived at its
 	// chassis and the per-chassis accounting adds up. A violation here is a
 	// routing or replay bug, not a simulation result.
-	if err := check.FleetClosure(streamed, dispatched, arrived, completed, unfinished); err != nil {
+	if err := check.FleetClosure(len(res.Picks), dispatched, arrived, completed, unfinished); err != nil {
 		return nil, err
 	}
 	res.Aggregate = metrics.Aggregate(results)
 	return res, nil
-}
-
-// runChassis simulates one chassis over its dispatched arrivals.
-func (f *Fleet) runChassis(i int, src *replaySource) chassisOut {
-	ch := &f.chassis[i]
-	cfg, err := ch.Scenario.Config(f.seed)
-	if err != nil {
-		return chassisOut{err: err}
-	}
-	cfg.Source = src
-	var h *check.Checks
-	if ch.Scenario.Checks || f.Checked {
-		h = check.New()
-		cfg.Checks = h
-	}
-	if f.Telemetry != nil {
-		tel := f.Telemetry.For(ch.Name())
-		for range src.arrivals {
-			tel.OnDispatch()
-		}
-		cfg.Telemetry = tel
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		return chassisOut{err: err}
-	}
-	out := chassisOut{res: f.runSim(s, cfg)}
-	out.arrived = s.Arrived()
-	out.unfinished = s.Unfinished()
-	if h != nil {
-		if err := h.Err(); err != nil {
-			return chassisOut{err: fmt.Errorf("invariant violation: %w", err)}
-		}
-	}
-	if cfg.Faults != nil {
-		out.ledger = &Ledger{
-			FanEnergyJ:  float64(s.FanEnergyJ()),
-			Requeues:    s.Requeues(),
-			DeadSockets: s.DeadSockets(),
-			FlowFactor:  s.FlowFactor(),
-			Faulted:     1,
-		}
-	}
-	return out
-}
-
-// runSim executes one chassis simulation, warm-starting from the WarmDir
-// cache when enabled — the same contract as experiments' runSim: the cache
-// is a pure accelerator, every failure along the warm path degrades to a
-// cold run, and checked or instrumented runs never warm-start. The chassis's
-// snapshot key includes its replay-stream signature (sim's source-identity
-// hook), so two chassis share a cache entry only when their warmups really
-// are bit-identical.
-func (f *Fleet) runSim(s *sim.Simulator, cfg sim.Config) metrics.Result {
-	if f.WarmDir == "" || cfg.Checks != nil || cfg.Telemetry != nil {
-		return s.Run()
-	}
-	key, err := s.SnapshotKey()
-	if err != nil {
-		return s.Run()
-	}
-	path := filepath.Join(f.WarmDir, key+".dsnp")
-	if data, err := os.ReadFile(path); err == nil {
-		if err := s.Restore(data); err == nil {
-			return s.Finish()
-		}
-	}
-	s.RunTo(cfg.Warmup)
-	if data, err := s.Snapshot(); err == nil {
-		writeFileAtomic(path, data)
-	}
-	return s.Finish()
-}
-
-// writeFileAtomic writes data through a temp file plus rename, so concurrent
-// fleet runs racing on one cache entry each land a complete capture.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -148,8 +148,8 @@ func TestStreamSignatureTracksContent(t *testing.T) {
 		return benches, arrivals
 	}
 	benches, arrivals := mk()
-	base := newReplaySource(benches, arrivals).SourceSignature()
-	if b2, a2 := mk(); newReplaySource(b2, a2).SourceSignature() != base {
+	base := (&source{benches: benches, arrivals: arrivals}).SourceSignature()
+	if b2, a2 := mk(); (&source{benches: b2, arrivals: a2}).SourceSignature() != base {
 		t.Fatal("equal replay content produced different signatures")
 	}
 	mutations := map[string]func(b []workload.Benchmark, a []arrival) []arrival{
@@ -166,7 +166,7 @@ func TestStreamSignatureTracksContent(t *testing.T) {
 	}
 	for name, mutate := range mutations {
 		b, a := mk()
-		if newReplaySource(b, mutate(b, a)).SourceSignature() == base {
+		if (&source{benches: b, arrivals: mutate(b, a)}).SourceSignature() == base {
 			t.Errorf("%s: signature unchanged", name)
 		}
 	}

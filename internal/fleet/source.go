@@ -1,6 +1,6 @@
 package fleet
 
-// The replay sources: each chassis simulation consumes its dispatched share
+// The replay source: each chassis simulation consumes its dispatched share
 // of the fleet arrival stream through a job.Source. Replay is the mechanism
 // behind the fleet's determinism guarantees — routing happens serially, ahead
 // of the simulation that consumes it, so the worker pool's scheduling can
@@ -24,92 +24,78 @@ type arrival struct {
 	bench       int32
 }
 
-// records is the state both replay sources share: the benchmark table the
-// compact records index, the records themselves, and the consumption cursor.
-type records struct {
-	benches  []workload.Benchmark
+// source feeds one chassis simulation its dispatched share of the fleet
+// arrival stream, as a job.Source. The routing pass pushes each window's
+// records before any chassis simulates past the window's end, and the
+// simulator consumes them in order — it cannot tell whether it is being fed
+// one horizon-long window (open loop) or one window per epoch (closed loop).
+// While the pushed window is drained Peek reports +Inf, which is correct:
+// the executor never advances a chassis past the point its arrivals have
+// been routed through. The source also implements the sim package's
+// snapshot accessors (the cursor is the whole mutable state — there is no
+// RNG) and the source-identity hook, so open-loop chassis warm-start through
+// the same WarmDir cache as plain sweeps without two chassis ever sharing a
+// cache key by accident.
+type source struct {
+	benches  []workload.Benchmark // the table arrival.bench indexes
 	arrivals []arrival
 	next     int
+	sig      uint64
+	hashed   bool
 }
 
-// Peek returns the next arrival instant, or +Inf when the records are
+// Peek returns the next arrival instant, or +Inf when the pushed window is
 // drained.
-func (r *records) Peek() units.Seconds {
-	if r.next >= len(r.arrivals) {
+func (s *source) Peek() units.Seconds {
+	if s.next >= len(s.arrivals) {
 		return units.Seconds(math.Inf(1))
 	}
-	return r.arrivals[r.next].at
+	return s.arrivals[s.next].at
 }
 
 // Next consumes the next arrival, resolving its benchmark from the table.
-func (r *records) Next() (units.Seconds, workload.Benchmark, units.Seconds) {
-	a := &r.arrivals[r.next]
-	r.next++
-	return a.at, r.benches[a.bench], a.nominal
+func (s *source) Next() (units.Seconds, workload.Benchmark, units.Seconds) {
+	a := &s.arrivals[s.next]
+	s.next++
+	return a.at, s.benches[a.bench], a.nominal
 }
 
-// replaySource feeds an open-loop chassis its dispatched arrivals in order.
-// It implements job.Source, the sim package's snapshot accessors (the cursor
-// is the whole mutable state — there is no RNG), and the source-identity
-// hook, so fleet runs warm-start through the same WarmDir cache as plain
-// sweeps without two chassis ever sharing a cache key by accident.
-type replaySource struct {
-	records
-	sig    uint64
-	hashed bool
+// push appends one routed arrival to the tail of the window.
+func (s *source) push(a arrival) {
+	s.arrivals = append(s.arrivals, a)
+	s.hashed = false
 }
 
-// newReplaySource builds the source over a benchmark table and the records
-// indexing it.
-func newReplaySource(benches []workload.Benchmark, arrivals []arrival) *replaySource {
-	return &replaySource{records: records{benches: benches, arrivals: arrivals}}
+// rewind empties a fully consumed window so the next one reuses its
+// storage: a closed-loop source holds at most one epoch's arrivals, not the
+// run's.
+func (s *source) rewind() {
+	if s.next == len(s.arrivals) {
+		s.arrivals, s.next = s.arrivals[:0], 0
+		s.hashed = false
+	}
 }
 
 // SnapshotState captures the cursor (as the rngState slot of the sim
 // snapshot format — the source has no RNG, so the cursor rides there).
-func (r *replaySource) SnapshotState() (rngState uint64, next units.Seconds) {
-	return uint64(r.next), r.Peek()
+func (s *source) SnapshotState() (rngState uint64, next units.Seconds) {
+	return uint64(s.next), s.Peek()
 }
 
 // RestoreState resumes replay from a captured cursor.
-func (r *replaySource) RestoreState(rngState uint64, _ units.Seconds) {
-	r.next = int(rngState)
-	if r.next > len(r.arrivals) {
-		r.next = len(r.arrivals)
-	}
+func (s *source) RestoreState(rngState uint64, _ units.Seconds) {
+	s.next = min(int(rngState), len(s.arrivals))
 }
 
-// SourceSignature identifies the replay content to the snapshot layer. Only
+// SourceSignature identifies the pushed content to the snapshot layer. Only
 // the warm-start path reads it, so the hash is computed on first use rather
 // than on every run.
-func (r *replaySource) SourceSignature() uint64 {
-	if !r.hashed {
-		r.sig = streamSignature(r.benches, r.arrivals)
-		r.hashed = true
+func (s *source) SourceSignature() uint64 {
+	if !s.hashed {
+		s.sig = streamSignature(s.benches, s.arrivals)
+		s.hashed = true
 	}
-	return r.sig
-}
-
-// appendSource is the closed-loop replay source: the epoch executor appends
-// each window's dispatched arrivals between RunTo steps, and the chassis
-// simulator consumes them in order through the ordinary job.Source seam —
-// the simulator cannot tell it is being fed incrementally. While the
-// appended window is drained Peek reports +Inf, which is correct: the
-// executor never advances a chassis past the boundary its arrivals have
-// been dispatched through. Unlike replaySource it carries no snapshot
-// identity — closed-loop runs never warm-start, because the per-chassis
-// stream is only discovered epoch by epoch.
-type appendSource struct{ records }
-
-// push appends one dispatched arrival to the tail of the replay window.
-func (a *appendSource) push(ar arrival) { a.arrivals = append(a.arrivals, ar) }
-
-// rewind empties a fully consumed window so the next one reuses its
-// storage: the source holds at most one epoch's arrivals, not the run's.
-func (a *appendSource) rewind() {
-	if a.next == len(a.arrivals) {
-		a.arrivals, a.next = a.arrivals[:0], 0
-	}
+	return s.sig
 }
 
 // streamSignature hashes a chassis's replay content into the 64-bit source

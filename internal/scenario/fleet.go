@@ -44,9 +44,9 @@ type Fleet struct {
 	// Epoch switches the fleet to closed-loop epoch-stepped execution: all
 	// chassis advance one tick-aligned window in lockstep, the dispatcher
 	// observes true per-chassis state at each boundary, and assigns the
-	// next window's arrivals. Absent (or with period 0) the fleet runs the
-	// open-loop pipeline: dispatch everything up front over estimated
-	// state, then run each chassis to completion.
+	// next window's arrivals. Absent (or with period 0) the fleet runs open
+	// loop, the zero-epoch case: dispatch everything up front over
+	// estimated state, then run each chassis to completion.
 	Epoch *FleetEpoch `json:"epoch,omitempty"`
 	// Chassis is the fleet membership; at least one entry.
 	Chassis []FleetChassis `json:"chassis"`

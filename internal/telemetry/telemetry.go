@@ -79,7 +79,7 @@ const (
 	// runs.
 	CDispatched
 	// CEpochs counts closed-loop fleet epochs this chassis was stepped
-	// through (internal/fleet's epoch executor). Zero on open-loop runs.
+	// through (internal/fleet's executor). Zero on open-loop runs.
 	CEpochs
 	// CObservations counts observation snapshots taken of this chassis at
 	// epoch boundaries (sim.Observe calls on the fleet's behalf).

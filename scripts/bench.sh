@@ -26,11 +26,12 @@
 #       (they check answers, not wall clock).
 #
 #   scripts/bench.sh fleetgate
-#       CI gate for the epoch executor: run the 16-chassis fleet
-#       benchmark open loop and closed loop (0.25s epochs) at workers=1
-#       and fail if the closed-loop median is more than 25% slower. The
-#       closed loop re-enters the tick engine and observes every chassis
-#       at every boundary; this holds that seam to bounded overhead. The
+#       CI gate for the cost of epoch windows: run the 16-chassis fleet
+#       benchmark at workers=1 through the one fleet executor, once in its
+#       zero-epoch case (open loop) and once with 0.25s epochs (closed
+#       loop), and fail if the closed-loop median is more than 25% slower.
+#       Each epoch re-enters the tick engine and observes every chassis at
+#       its boundary; this holds that seam to bounded overhead. The
 #       equivalence tests pin its answers; this pins its wall clock.
 #
 #   scripts/bench.sh compare OLD.json NEW.json [max_regress_pct]
@@ -111,7 +112,7 @@ fleetgate)
 	echo "open-loop median ${open} ns/op, closed-loop median ${closed} ns/op"
 	# Fail when closed > 1.25 x open (integer math: 4*c > 5*o).
 	if [ $((4 * closed)) -gt $((5 * open)) ]; then
-		echo "bench fleetgate: closed-loop epoch executor >25% slower than open loop" >&2
+		echo "bench fleetgate: epoch windows make the closed loop >25% slower than the zero-epoch open loop" >&2
 		exit 1
 	fi
 	;;
