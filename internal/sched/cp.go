@@ -97,23 +97,20 @@ type CouplingPredictor struct {
 	ownTempAmb   []units.Celsius
 	ownTempDynW  []units.Watts
 	ownTempLeakW []units.Watts
-	// Whole-score memo, used only when the State implements EpochState (and
-	// the IdleWeighted ablation is off — its utilization weight is a global
-	// that no lane epoch covers). A candidate's score reads only its own
-	// channel: its own ambient/boost-cap, and the busy flags, running
-	// benchmarks, ambients, and boost caps of its downwind sockets, which
-	// the advection model keeps strictly within one channel. So the memo key
-	// is (channel epoch, job DynMax): both unchanged proves every score
-	// input bit-identical, and the replayed float is the exact value a fresh
-	// evaluation would produce. chanOf[id] is the socket's channel index.
+	// Whole-score memo, off only under the IdleWeighted ablation (its
+	// utilization weight is a global that no lane epoch covers). A
+	// candidate's score reads only its own channel: its own ambient/boost
+	// cap, and the running jobs, ambients, and boost caps of its downwind
+	// sockets, which the advection model keeps strictly within one channel.
+	// So the memo key is (channel epoch, job DynMax): both unchanged proves
+	// every score input bit-identical, and the replayed float is the exact
+	// value a fresh evaluation would produce. chanOf[id] is the socket's
+	// channel index.
 	chanOf      []int32
 	scoreEpoch  []uint64
 	scoreDynMax []units.Watts
 	scoreVal    []float64
-	// vec holds the state's per-socket vector views for the duration of one
-	// Pick (zero slices when the State is not a VecState). The downwind loop
-	// reads up to six per-socket quantities per iteration; indexing the
-	// vectors replaces an interface call per quantity.
+	// vec holds the state's per-socket vectors for the duration of one Pick.
 	vec StateVectors
 }
 
@@ -168,6 +165,7 @@ func (cp *CouplingPredictor) Name() string {
 // Pick implements Scheduler.
 func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	srv := s.Server()
+	cp.vec = s.Vectors()
 
 	if len(cp.beforeFreq) < srv.NumSockets() {
 		n := srv.NumSockets()
@@ -188,9 +186,8 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 		// per-socket bounds.
 		cp.admiss = chipmodel.NewAdmissCache(n)
 		homogeneous := true
-		first := s.LeakageAt(0)
-		for i := 1; i < n; i++ {
-			if s.LeakageAt(geometry.SocketID(i)) != first {
+		for _, l := range cp.vec.Leak[1:n] {
+			if l != cp.vec.Leak[0] {
 				homogeneous = false
 				break
 			}
@@ -231,11 +228,6 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 		}
 	}
 
-	if vs, ok := s.(VecState); ok {
-		cp.vec = vs.Vectors()
-	} else {
-		cp.vec = StateVectors{}
-	}
 	cands := idle
 	if !cp.opts.GlobalSearch {
 		if cp.rowsMono {
@@ -295,14 +287,10 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 	}
 
 	bm := &j.Benchmark
-	var ep EpochState
-	if !cp.opts.IdleWeighted {
-		ep, _ = s.(EpochState)
-	}
 	best := cands[0]
-	bestScore := cp.scoreCached(s, ep, bm, best, util)
+	bestScore := cp.scoreCached(s, bm, best, util)
 	for _, id := range cands[1:] {
-		if sc := cp.scoreCached(s, ep, bm, id, util); sc > bestScore || (sc == bestScore && id < best) {
+		if sc := cp.scoreCached(s, bm, id, util); sc > bestScore || (sc == bestScore && id < best) {
 			best, bestScore = id, sc
 		}
 	}
@@ -311,19 +299,14 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 
 // scoreCached replays the whole-score memo when the candidate's channel
 // epoch and the job's DynMax both match (see the memo's field comment for
-// the exactness argument), and falls back to a fresh score otherwise. With
-// no EpochState available every call is fresh.
-func (cp *CouplingPredictor) scoreCached(s State, ep EpochState, bm *workload.Benchmark, cand geometry.SocketID, util float64) float64 {
-	if ep == nil {
+// the exactness argument), and falls back to a fresh score otherwise. Under
+// the IdleWeighted ablation every call is fresh.
+func (cp *CouplingPredictor) scoreCached(s State, bm *workload.Benchmark, cand geometry.SocketID, util float64) float64 {
+	if cp.opts.IdleWeighted {
 		return cp.score(s, bm, cand, util)
 	}
 	ci := int(cand)
-	var e uint64
-	if cp.vec.Epoch != nil {
-		e = cp.vec.Epoch[cp.chanOf[ci]]
-	} else {
-		e = ep.LaneEpoch(int(cp.chanOf[ci]))
-	}
+	e := cp.vec.Epoch[cp.chanOf[ci]]
 	dm := bm.DynMax()
 	if cp.scoreEpoch[ci] == e && cp.scoreDynMax[ci] == dm {
 		return cp.scoreVal[ci]
@@ -343,12 +326,7 @@ func (cp *CouplingPredictor) scoreCached(s State, ep EpochState, bm *workload.Be
 func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometry.SocketID, util float64) float64 {
 	srv := s.Server()
 	af := s.Airflow()
-	var leak chipmodel.Leakage
-	if cp.vec.Leak != nil {
-		leak = cp.vec.Leak[cand]
-	} else {
-		leak = s.LeakageAt(cand)
-	}
+	leak := cp.vec.Leak[cand]
 	dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
 	ladder := len(chipmodel.Frequencies) - 1
 
@@ -358,12 +336,7 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometr
 	// fixed sink — replayed from the per-socket memo when both match, and
 	// found by the same bounds-cache-backed binary search as
 	// chipmodel.PredictFrequency otherwise.
-	var candAmb units.Celsius
-	if cp.vec.Amb != nil {
-		candAmb = cp.vec.Amb[cand]
-	} else {
-		candAmb = s.AmbientTemp(cand)
-	}
+	candAmb := cp.vec.Amb[cand]
 	candSink := srv.Sink(cand)
 	bmDynMax := bm.DynMax()
 	ci := int(cand)
@@ -385,16 +358,8 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometr
 	if ownIdx >= 0 {
 		ownFreq = chipmodel.Frequencies[ownIdx]
 	}
-	if !cp.opts.IgnoreBudget {
-		var cap units.MHz
-		if cp.vec.Cap != nil {
-			cap = cp.vec.Cap[cand]
-		} else {
-			cap = s.BoostCap(cand)
-		}
-		if ownFreq > cap {
-			ownFreq = cap
-		}
+	if !cp.opts.IgnoreBudget && ownFreq > cp.vec.Cap[cand] {
+		ownFreq = cp.vec.Cap[cand]
 	}
 	if cp.opts.NoCoupling {
 		return float64(ownFreq)
@@ -424,10 +389,10 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometr
 	}
 
 	// Downwind impact: predicted frequency loss of each downstream socket,
-	// from the precomputed downwind coupling view. Busy sockets are assumed
-	// to keep running their current jobs; idle sockets count at the
-	// utilization weight (they will soon carry jobs like the one being
-	// placed).
+	// from the precomputed downwind coupling view. Sockets running a job are
+	// assumed to keep running it; idle sockets count at the utilization
+	// weight (they will soon carry jobs like the one being placed); dead
+	// sockets, Busy with no job, never count.
 	var lossMHz float64
 	for _, dw := range af.Downwind(cand) {
 		down := dw.Down
@@ -435,35 +400,18 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometr
 		if rise <= 0 {
 			continue
 		}
-		weight := util
-		dbm := bm
-		var amb units.Celsius
-		var dleak chipmodel.Leakage
-		if cp.vec.Bench != nil && util <= 0 {
-			// Vector fast path (the default, non-IdleWeighted config): a
-			// non-nil Bench entry is exactly "busy with a job" — dead
-			// sockets and idle sockets are both nil, and both would be
-			// skipped below. Same verdicts, no interface calls.
-			if dbm = cp.vec.Bench[down]; dbm == nil {
-				continue
-			}
-			weight = 1
-			amb = cp.vec.Amb[down]
-			dleak = cp.vec.Leak[down]
+		var weight float64
+		var dbm *workload.Benchmark
+		running := cp.vec.Job[down]
+		if running != nil {
+			weight, dbm = 1, &running.Benchmark
+		} else if util > 0 && !s.Busy(down) {
+			weight, dbm = util, bm
 		} else {
-			if s.Busy(down) {
-				running := s.RunningJob(down)
-				if running == nil {
-					continue
-				}
-				weight = 1
-				dbm = &running.Benchmark
-			} else if util <= 0 {
-				continue
-			}
-			amb = s.AmbientTemp(down)
-			dleak = s.LeakageAt(down)
+			continue
 		}
+		amb := cp.vec.Amb[down]
+		dleak := cp.vec.Leak[down]
 		sink := srv.Sink(down)
 		// The pre-rise prediction is candidate-independent: replayed from
 		// the (ambient bits, DynMax bits) memo — valid across Picks and
@@ -516,13 +464,7 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometr
 		if !cp.opts.IgnoreBudget {
 			// Losses above the downwind socket's budget cap do not count:
 			// it could not have run there anyway.
-			var cap units.MHz
-			if cp.vec.Cap != nil {
-				cap = cp.vec.Cap[down]
-			} else {
-				cap = s.BoostCap(down)
-			}
-			if before > cap {
+			if cap := cp.vec.Cap[down]; before > cap {
 				before = cap
 				if after > cap {
 					after = cap

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"densim/internal/chipmodel"
 	"densim/internal/geometry"
 )
 
@@ -70,9 +71,7 @@ func TestCPNoCouplingIgnoresDownwind(t *testing.T) {
 	mk := func() *fakeState {
 		fs := newFakeState(t, srv)
 		for _, p := range []int{1, 2, 3, 5} {
-			fs.busy[z(p)] = true
 			fs.jobs[z(p)] = compJob()
-			fs.freqs[z(p)] = 1900
 		}
 		fs.amb[z(1)] = 58
 		fs.amb[z(2)] = 57
@@ -113,7 +112,6 @@ func TestCPIdleWeightedCountsIdleDownwind(t *testing.T) {
 		// high.
 		for _, sk := range srv.Sockets() {
 			if sk.Row != row {
-				fs.busy[sk.ID] = true
 				fs.jobs[sk.ID] = compJob()
 			}
 		}
@@ -146,7 +144,7 @@ func TestCPNoBudgetIgnoresBudgetCaps(t *testing.T) {
 	b := srv.SocketAt(row, 0, 4).ID
 	mk := func() *fakeState {
 		fs := newFakeState(t, srv)
-		fs.noBoost[a] = true
+		fs.caps[a] = chipmodel.MaxSustained
 		return fs
 	}
 	idle := []geometry.SocketID{a, b}
@@ -158,5 +156,43 @@ func TestCPNoBudgetIgnoresBudgetCaps(t *testing.T) {
 	noBudget := NewCouplingPredictorOpts(5, CPOptions{IgnoreBudget: true})
 	if got := noBudget.Pick(mk(), compJob(), idle); got != a {
 		t.Errorf("no-budget CP picked %d, want %d (tie-break)", got, a)
+	}
+}
+
+func TestCPIdleWeightedSkipsDeadDownwind(t *testing.T) {
+	// The zone-1 candidate's downwind sockets (zones 2-5) sit at their
+	// boost edges, so the idle-weighted variant charges it a loss for each
+	// one that is idle. Dead sockets are Busy but carry no job: they will
+	// never run work, so they must cost nothing. With zones 2-5 dead the
+	// candidates tie on own frequency (zone 6 is cool and hurts nobody)
+	// and the lower ID (zone 1) wins; with the same sockets idle, the
+	// variant must avoid zone 1.
+	srv := geometry.SUT()
+	row := 2
+	z := func(p int) geometry.SocketID { return srv.SocketAt(row, 0, p).ID }
+	mk := func(dead bool) *fakeState {
+		fs := newFakeState(t, srv)
+		for _, sk := range srv.Sockets() {
+			if sk.Row != row {
+				fs.jobs[sk.ID] = compJob()
+			}
+		}
+		for p := 1; p <= 4; p++ {
+			fs.dead[z(p)] = dead
+		}
+		fs.amb[z(1)] = 65 // zone 2, 30-fin
+		fs.amb[z(2)] = 58 // zone 3, 18-fin
+		fs.amb[z(3)] = 65 // zone 4, 30-fin
+		fs.amb[z(4)] = 58 // zone 5, 18-fin
+		return fs
+	}
+	idle := []geometry.SocketID{z(0), z(5)}
+
+	weighted := NewCouplingPredictorOpts(5, CPOptions{IdleWeighted: true})
+	if got := weighted.Pick(mk(true), compJob(), idle); got != z(0) {
+		t.Errorf("idle-weighted CP picked pos %d with dead downwind sockets, want 0 (no loss, tie-break)", srv.Socket(got).Pos)
+	}
+	if got := weighted.Pick(mk(false), compJob(), idle); got != z(5) {
+		t.Errorf("idle-weighted CP picked pos %d with idle downwind sockets, want 5", srv.Socket(got).Pos)
 	}
 }

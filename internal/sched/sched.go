@@ -4,7 +4,9 @@
 // A-Random, Predictive) and the paper's proposed CouplingPredictor (CP).
 //
 // A Scheduler sees the system through the State interface the simulator
-// implements and picks one socket from the idle set for each pending job.
+// implements — the topology, the coupling model and the live per-socket
+// vectors (StateVectors), which alias the simulator's own storage — and
+// picks one socket from the idle set for each pending job.
 // Schedulers must be deterministic given their construction-time seed.
 package sched
 
@@ -16,95 +18,60 @@ import (
 	"densim/internal/geometry"
 	"densim/internal/job"
 	"densim/internal/units"
-	"densim/internal/workload"
 )
 
-// State is the scheduler's view of the live system.
+// State is the scheduler's view of the live system: the topology, the
+// coupling model, and the per-socket state vectors. Quantities that are
+// stored per socket are read through Vectors; SocketTemp and Busy stay
+// methods because they are derived (the formula lives in the simulator).
 type State interface {
 	// Server returns the topology.
 	Server() *geometry.Server
 	// Airflow returns the thermal-coupling model (the offline heat-transfer
 	// map of MinHR and the table lookup of CP).
 	Airflow() *airflow.Model
-	// ChipTemp returns the socket's current estimated peak chip
-	// temperature (fast, 5 ms time constant).
-	ChipTemp(geometry.SocketID) units.Celsius
 	// SocketTemp returns the lumped socket temperature (heatsink mass,
 	// 30 s time constant) — the paper's "instantaneous socket temperature"
 	// that the temperature-ordering policies read.
 	SocketTemp(geometry.SocketID) units.Celsius
-	// AmbientTemp returns the socket's current entry air temperature.
-	AmbientTemp(geometry.SocketID) units.Celsius
-	// HistoricalTemp returns a slow-moving average of the socket's chip
-	// temperature (the history input of A-Random).
-	HistoricalTemp(geometry.SocketID) units.Celsius
-	// Busy reports whether the socket is currently running a job.
+	// Busy reports whether the socket cannot accept work: it is running a
+	// job, or it is dead (a socket-death fault) and carries none.
 	Busy(geometry.SocketID) bool
-	// RunningJob returns the job on a busy socket, nil otherwise.
-	RunningJob(geometry.SocketID) *job.Job
-	// Frequency returns the socket's current P-state (meaningful while
-	// busy).
-	Frequency(geometry.SocketID) units.MHz
-	// LeakageAt returns the socket's leakage model. Leakage is per-socket:
-	// heterogeneous SKUs bin parts at different TDPs, so two sockets can
-	// carry different leakage curves.
-	LeakageAt(geometry.SocketID) chipmodel.Leakage
-	// BoostCap returns the highest P-state the socket's boost budget
-	// currently permits (the BKDG boost budget [36]): FMax with plenty of
-	// idle residency, stepping down to the sustained frequency for
-	// fully-loaded sockets.
-	BoostCap(geometry.SocketID) units.MHz
+	// Vectors returns the per-socket state. O(1): no copying.
+	Vectors() StateVectors
 }
 
-// EpochState is an optional extension of State. A state that implements it
-// promises: LaneEpoch(ch) returns unchanged only while every State-visible
-// quantity of airflow channel ch's sockets — ambient/socket/chip/historical
-// temperatures, busy flags, running jobs, frequencies, boost caps — is
-// bit-unchanged since the epoch was last observed. Any mutation (a thermal
-// sweep that was not an exact identity, a placement/completion/migration, a
-// fault application, a state restore) advances the epoch first.
+// StateVectors is the live per-socket state, indexed by socket ID (Epoch by
+// airflow channel). The slices alias the simulator's storage: they are valid
+// for the duration of one Pick and must never be written by schedulers.
 //
-// Schedulers use this to memoize per-socket predictions and replay them on an
-// unchanged epoch: exact by replay, since an unchanged epoch proves every
-// input of the prediction is bit-identical. Channels are indexed row-major
-// (row*Lanes + lane), matching airflow.Model.Channel.
-type EpochState interface {
-	State
-	// LaneEpoch returns the current change epoch of airflow channel ch.
-	LaneEpoch(ch int) uint64
-}
-
-// StateVectors is a set of contiguous read-only per-socket views of the
-// hottest State accessors, indexed by socket ID. The slices alias the live
-// simulation state: they are valid for the duration of one Pick and must
-// never be written by schedulers.
-//
-//   - Amb[i] is exactly AmbientTemp(i).
-//   - Bench[i] is &RunningJob(i).Benchmark while the socket is busy with a
-//     job, and nil otherwise — for idle sockets and for dead sockets, which
-//     Busy reports busy but which carry no job.
-//   - Leak[i] is exactly LeakageAt(i).
-//   - Epoch[ch] is exactly LaneEpoch(ch), indexed by airflow channel
-//     rather than socket. Nil when the state is not an EpochState.
-//   - Cap[i] is exactly BoostCap(i).
+//   - Amb[i] is the socket's current entry air temperature.
+//   - Hist[i] is a slow-moving average of the socket temperature (the
+//     history input of A-Random).
+//   - Job[i] is the running job, nil while the socket is idle or dead.
+//   - Leak[i] is the socket's leakage model. Leakage is per-socket:
+//     heterogeneous SKUs bin parts at different TDPs, so two sockets can
+//     carry different leakage curves.
+//   - Cap[i] is the highest P-state the socket's boost budget (the BKDG
+//     boost budget [36]), SKU ceiling and any throttle fault currently
+//     permit: FMax with plenty of idle residency, stepping down to the
+//     sustained frequency for fully-loaded sockets.
+//   - Epoch[ch] is the change epoch of airflow channel ch, indexed row-major
+//     (row*Lanes + lane) as airflow.Model.Channel. It stays unchanged only
+//     while every State-visible quantity of the channel's sockets — the
+//     vectors above, SocketTemp and Busy — is bit-unchanged since the epoch
+//     was last observed. Any mutation (a thermal sweep that was not an exact
+//     identity, a placement/completion/migration, a fault application, a
+//     state restore) advances it first. Schedulers use it to memoize
+//     per-socket predictions and replay them on an unchanged epoch: exact by
+//     replay, since an unchanged epoch proves every input bit-identical.
 type StateVectors struct {
 	Amb   []units.Celsius
-	Bench []*workload.Benchmark
+	Hist  []units.Celsius
+	Job   []*job.Job
 	Leak  []chipmodel.Leakage
-	Epoch []uint64
 	Cap   []units.MHz
-}
-
-// VecState is an optional extension of State: a state whose per-socket
-// storage is already contiguous exposes it directly, so a scheduler that
-// reads many sockets per Pick (CP's downwind loop) replaces per-socket
-// interface calls with slice indexing. The views must agree bit-for-bit
-// with the corresponding State accessors at every instant, so a scheduler
-// switching between the two paths cannot change any decision.
-type VecState interface {
-	State
-	// Vectors returns the per-socket views. O(1): no copying.
-	Vectors() StateVectors
+	Epoch []uint64
 }
 
 // Scheduler picks a socket for a job from the non-empty idle set.
@@ -294,15 +261,16 @@ func (a *AdaptiveRandom) Pick(s State, _ *job.Job, idle []geometry.SocketID) geo
 		}
 	}
 	// Lowest-history band within the candidates.
-	minHist := float64(s.HistoricalTemp(cands[0]))
+	hist := s.Vectors().Hist
+	minHist := float64(hist[cands[0]])
 	for _, id := range cands[1:] {
-		if t := float64(s.HistoricalTemp(id)); t < minHist {
+		if t := float64(hist[id]); t < minHist {
 			minHist = t
 		}
 	}
 	var finals []geometry.SocketID
 	for _, id := range cands {
-		if float64(s.HistoricalTemp(id)) <= minHist+a.Band {
+		if float64(hist[id]) <= minHist+a.Band {
 			finals = append(finals, id)
 		}
 	}
@@ -320,23 +288,25 @@ func (Predictive) Name() string { return "Predictive" }
 // Pick implements Scheduler.
 func (Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	srv := s.Server()
+	v := s.Vectors()
 	// Wrap the curve in a func literal (stack-allocatable) rather than the
 	// DynamicPower method value, which heap-allocates its bound receiver.
 	bm := &j.Benchmark
 	dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
 	return argBest(idle, func(id geometry.SocketID) float64 {
-		f := PredictSocketFrequency(s, id, dyn, srv.Sink(id), s.LeakageAt(id))
+		f := PredictSocketFrequency(v, id, dyn, srv.Sink(id))
 		// Maximize frequency; among equal frequencies prefer cooler air.
-		return -float64(f)*1e3 + float64(s.AmbientTemp(id))
+		return -float64(f)*1e3 + float64(v.Amb[id])
 	})
 }
 
 // PredictSocketFrequency estimates the frequency a job with the given
 // dynamic-power curve would achieve on a socket: the Equation-1 two-step
-// thermal prediction, capped at what the socket's boost budget permits.
-func PredictSocketFrequency(s State, id geometry.SocketID, dyn chipmodel.DynamicPowerFn, sink chipmodel.Sink, leak chipmodel.Leakage) units.MHz {
-	f := chipmodel.PredictFrequency(s.AmbientTemp(id), dyn, sink, leak)
-	if cap := s.BoostCap(id); f > cap {
+// thermal prediction at the socket's ambient and leakage, capped at what its
+// boost budget permits.
+func PredictSocketFrequency(v StateVectors, id geometry.SocketID, dyn chipmodel.DynamicPowerFn, sink chipmodel.Sink) units.MHz {
+	f := chipmodel.PredictFrequency(v.Amb[id], dyn, sink, v.Leak[id])
+	if cap := v.Cap[id]; f > cap {
 		return cap
 	}
 	return f

@@ -11,17 +11,21 @@ import (
 	"densim/internal/workload"
 )
 
-// fakeState is a hand-settable State for policy unit tests.
+// fakeState is a hand-settable State for policy unit tests. It holds the
+// same per-socket slices the simulator hands out, and moves every channel to
+// a fresh epoch on each Vectors call, so no scheduler memo survives a test's
+// mutation between picks, nor a scheduler reused across two fakeStates.
 type fakeState struct {
-	srv     *geometry.Server
-	af      *airflow.Model
-	chip    map[geometry.SocketID]units.Celsius
-	amb     map[geometry.SocketID]units.Celsius
-	hist    map[geometry.SocketID]units.Celsius
-	busy    map[geometry.SocketID]bool
-	jobs    map[geometry.SocketID]*job.Job
-	freqs   map[geometry.SocketID]units.MHz
-	noBoost map[geometry.SocketID]bool
+	srv   *geometry.Server
+	af    *airflow.Model
+	chip  []units.Celsius // SocketTemp
+	amb   []units.Celsius
+	hist  []units.Celsius
+	jobs  []*job.Job
+	leak  []chipmodel.Leakage
+	caps  []units.MHz
+	dead  []bool
+	epoch []uint64
 }
 
 func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
@@ -30,42 +34,43 @@ func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := srv.NumSockets()
 	fs := &fakeState{
-		srv:     srv,
-		af:      af,
-		chip:    map[geometry.SocketID]units.Celsius{},
-		amb:     map[geometry.SocketID]units.Celsius{},
-		hist:    map[geometry.SocketID]units.Celsius{},
-		busy:    map[geometry.SocketID]bool{},
-		jobs:    map[geometry.SocketID]*job.Job{},
-		freqs:   map[geometry.SocketID]units.MHz{},
-		noBoost: map[geometry.SocketID]bool{},
+		srv:   srv,
+		af:    af,
+		chip:  make([]units.Celsius, n),
+		amb:   make([]units.Celsius, n),
+		hist:  make([]units.Celsius, n),
+		jobs:  make([]*job.Job, n),
+		leak:  make([]chipmodel.Leakage, n),
+		caps:  make([]units.MHz, n),
+		dead:  make([]bool, n),
+		epoch: make([]uint64, af.NumChannels()),
 	}
-	for _, sk := range srv.Sockets() {
-		fs.chip[sk.ID] = 25
-		fs.amb[sk.ID] = 18
-		fs.hist[sk.ID] = 25
+	for i := 0; i < n; i++ {
+		fs.chip[i] = 25
+		fs.amb[i] = 18
+		fs.hist[i] = 25
+		fs.leak[i] = chipmodel.NewLeakage(workload.TDP)
+		fs.caps[i] = chipmodel.FMax
 	}
 	return fs
 }
 
-func (f *fakeState) Server() *geometry.Server { return f.srv }
-func (f *fakeState) Airflow() *airflow.Model  { return f.af }
-func (f *fakeState) LeakageAt(geometry.SocketID) chipmodel.Leakage {
-	return chipmodel.NewLeakage(workload.TDP)
-}
-func (f *fakeState) ChipTemp(id geometry.SocketID) units.Celsius       { return f.chip[id] }
-func (f *fakeState) SocketTemp(id geometry.SocketID) units.Celsius     { return f.chip[id] }
-func (f *fakeState) AmbientTemp(id geometry.SocketID) units.Celsius    { return f.amb[id] }
-func (f *fakeState) HistoricalTemp(id geometry.SocketID) units.Celsius { return f.hist[id] }
-func (f *fakeState) Busy(id geometry.SocketID) bool                    { return f.busy[id] }
-func (f *fakeState) RunningJob(id geometry.SocketID) *job.Job          { return f.jobs[id] }
-func (f *fakeState) Frequency(id geometry.SocketID) units.MHz          { return f.freqs[id] }
-func (f *fakeState) BoostCap(id geometry.SocketID) units.MHz {
-	if f.noBoost[id] {
-		return chipmodel.MaxSustained
+func (f *fakeState) Server() *geometry.Server                      { return f.srv }
+func (f *fakeState) Airflow() *airflow.Model                       { return f.af }
+func (f *fakeState) SocketTemp(id geometry.SocketID) units.Celsius { return f.chip[id] }
+func (f *fakeState) Busy(id geometry.SocketID) bool                { return f.jobs[id] != nil || f.dead[id] }
+
+// fakeEpochs numbers the Vectors calls of every fakeState.
+var fakeEpochs uint64
+
+func (f *fakeState) Vectors() StateVectors {
+	fakeEpochs++
+	for ch := range f.epoch {
+		f.epoch[ch] = fakeEpochs
 	}
-	return chipmodel.FMax
+	return StateVectors{Amb: f.amb, Hist: f.hist, Job: f.jobs, Leak: f.leak, Cap: f.caps, Epoch: f.epoch}
 }
 
 func compJob() *job.Job {
@@ -267,10 +272,8 @@ func TestCPAvoidsHurtingDownstream(t *testing.T) {
 	// Downstream socket is busy at an ambient right at the boost edge: any
 	// added upstream heat costs it a bin. Note the downstream 30-fin sink
 	// boosts until ~68C ambient.
-	fs.busy[down] = true
 	fs.jobs[down] = compJob()
 	fs.amb[down] = 67
-	fs.freqs[down] = 1900
 	// Only the upstream socket is idle; CP must still pick it (it is the
 	// only candidate) — sanity.
 	cp := NewCouplingPredictor(3)
@@ -295,9 +298,7 @@ func TestCPPrefersNonCouplingSocketAtHighLoad(t *testing.T) {
 	row := 4
 	z := func(p int) geometry.SocketID { return srv.SocketAt(row, 0, p).ID }
 	for _, p := range []int{1, 2, 3, 5} {
-		fs.busy[z(p)] = true
 		fs.jobs[z(p)] = compJob()
-		fs.freqs[z(p)] = 1900
 	}
 	fs.amb[z(1)] = 58
 	fs.amb[z(2)] = 57

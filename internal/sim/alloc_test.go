@@ -49,9 +49,9 @@ func TestSteadyStateHotPathsDoNotAllocate(t *testing.T) {
 		// scratch once, then demand allocation-free picks. The probe job is
 		// one already running elsewhere — Pick only reads it.
 		var j *job.Job
-		for i := range s.sockets {
-			if s.sockets[i].busy {
-				j = s.sockets[i].j
+		for _, running := range s.jobs {
+			if running != nil {
+				j = running
 				break
 			}
 		}
@@ -115,8 +115,8 @@ func TestDrainPathDoesNotAllocate(t *testing.T) {
 			return
 		}
 		busy := -1
-		for i := range s.sockets {
-			if s.sockets[i].busy {
+		for i := range s.jobs {
+			if s.jobs[i] != nil {
 				busy = i
 				break
 			}

@@ -139,8 +139,8 @@ func TestHarnessDetectsCorruptedState(t *testing.T) {
 			if corrupted || now < 1.0 {
 				return
 			}
-			for i := range s.sockets {
-				if s.sockets[i].busy {
+			for i := range s.jobs {
+				if s.jobs[i] != nil {
 					corrupt(s, i)
 					corrupted = true
 					return
@@ -161,7 +161,7 @@ func TestHarnessDetectsCorruptedState(t *testing.T) {
 		// Extra remaining work silently stretches the job: the ledger
 		// accrues more than NominalDuration by the time it completes.
 		h := corruptOne(t, func(s *Simulator, i int) {
-			s.sockets[i].j.Work += 0.01
+			s.jobs[i].Work += 0.01
 		})
 		if n := countViolations(h, "work-conservation"); n == 0 {
 			t.Errorf("inflated remaining work not detected; violations: %v", h.Violations())

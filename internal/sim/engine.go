@@ -226,22 +226,22 @@ func (e *engineState) invalidatePick(i int) {
 // pickFrequency is the engine's frequency dispatcher: the pristine seam
 // call in serial mode, the cached/warm-started TableDVFS path otherwise.
 // Both return the exact frequency TableDVFS.PickFrequency would.
-func (s *Simulator) pickFrequency(id geometry.SocketID, st *socketState) units.MHz {
+func (s *Simulator) pickFrequency(id geometry.SocketID) units.MHz {
 	if !s.eng.useDVFS {
-		return s.pickFrequencyIndexed(id, st)
+		return s.pickFrequencyIndexed(id)
 	}
-	return s.enginePick(int(id), st)
+	return s.enginePick(int(id))
 }
 
-// enginePick returns TableDVFS.PickFrequency(st.ambient, benchmark, sink,
+// enginePick returns TableDVFS.PickFrequency(ambient, benchmark, sink,
 // cap) through two exact shortcuts: a full-input cache hit returns the
 // stored frequency (pure function of the key), and a miss warm-starts the
 // monotone ladder search from the previous pick's index
 // (chipmodel.HighestAdmissibleFrom returns exactly what the cold search
 // would).
-func (s *Simulator) enginePick(i int, st *socketState) units.MHz {
+func (s *Simulator) enginePick(i int) units.MHz {
 	e := &s.eng
-	bench := &st.j.Benchmark
+	bench := &s.jobs[i].Benchmark
 	ambient := s.amb[i]
 	cap := s.caps[i]
 	if e.pickBench[i] == bench && e.pickAmb[i] == ambient && e.pickCap[i] == cap {
@@ -317,7 +317,7 @@ func (s *Simulator) tickChannels() (skipped int64) {
 	// with the bounds checks lifted out of the per-socket body.
 	amb, chip, hist := s.amb, s.chip, s.hist
 	util, pewma, freqs := s.util, s.pewma, s.freq
-	powers, caps := s.powers, s.caps
+	powers, caps, jobs := s.powers, s.caps, s.jobs
 	depth := e.depth
 	for ch := 0; ch < e.numChan; ch++ {
 		settled := track && !e.dirty[ch]
@@ -329,7 +329,7 @@ func (s *Simulator) tickChannels() (skipped int64) {
 		}
 		for i := ch * depth; i < (ch+1)*depth; i++ {
 			id := geometry.SocketID(i)
-			st := &s.sockets[i]
+			busy := jobs[i] != nil
 			sink := s.srv.Sink(id)
 			prevAmb, prevChip := amb[i], chip[i]
 			prevPE, prevHist := pewma[i], hist[i]
@@ -344,14 +344,14 @@ func (s *Simulator) tickChannels() (skipped int64) {
 			sockT := amb[i] + units.Celsius(float64(pewma[i])*sink.RExt())
 			hist[i] = chipmodel.StepWithGain(prevHist, sockT, kHist)
 			target := units.Celsius(0)
-			if st.busy {
+			if busy {
 				target = 1
 			}
 			util[i] = float64(chipmodel.StepWithGain(units.Celsius(prevUtil), target, kUtil))
 			caps[i] = s.capFor(i, util[i])
 
-			if st.busy {
-				if f := s.pickFrequency(id, st); f != freqs[i] {
+			if busy {
+				if f := s.pickFrequency(id); f != freqs[i] {
 					if s.tel != nil {
 						s.tel.OnThrottle(s.now, i, freqs[i], f)
 					}

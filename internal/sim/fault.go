@@ -272,12 +272,9 @@ func (s *Simulator) killSocket(i int) {
 		return
 	}
 	s.advanceSocketTo(i, s.now)
-	st := &s.sockets[i]
-	wasBusy := st.busy
-	if wasBusy {
-		j := st.j
-		st.busy = false
-		s.setJob(i, nil)
+	j := s.jobs[i]
+	if j != nil {
+		s.jobs[i] = nil
 		s.freq[i] = 0
 		s.busyCount--
 		s.eng.unsettle(i)
@@ -304,7 +301,7 @@ func (s *Simulator) killSocket(i int) {
 		s.checks.MarkDead(i, s.now)
 	}
 	s.setPower(i, 0)
-	if wasBusy {
+	if j != nil {
 		s.drainQueue(s.now)
 	}
 }

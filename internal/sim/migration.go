@@ -54,10 +54,10 @@ func (m MigrationConfig) withDefaults() MigrationConfig {
 // pool: the source was only throttled for the job it was running, and a
 // later candidate with a lighter power curve may still gain by moving
 // there (the predicted-gain gate rejects moves onto sockets that are
-// thermally hopeless for that candidate).
+// thermally hopeless for that candidate). The pool is the live idle set,
+// which migrate keeps sorted by ID as Pick requires.
 func (s *Simulator) runMigrations() {
-	idle := append([]geometry.SocketID(nil), s.idleSockets()...)
-	if len(idle) == 0 {
+	if len(s.idleSockets()) == 0 {
 		return
 	}
 	mc := s.cfg.Migration
@@ -65,12 +65,10 @@ func (s *Simulator) runMigrations() {
 	// rested socket — MaxSustained when boost is disabled, FMax otherwise.
 	// Jobs already there have nothing to gain and skip the scheduler call.
 	maxFreq := s.boostCap(0)
-	for i := range s.sockets {
-		src := &s.sockets[i]
-		if !src.busy {
+	for i, j := range s.jobs {
+		if j == nil {
 			continue
 		}
-		j := src.j
 		if float64(j.Work) < mc.MinRemainingWork*float64(mc.Cost) {
 			continue
 		}
@@ -78,39 +76,29 @@ func (s *Simulator) runMigrations() {
 		if curFreq >= maxFreq {
 			continue // nothing to gain
 		}
-		dest := s.cfg.Scheduler.Pick(s, j, idle)
+		dest := s.cfg.Scheduler.Pick(s, j, s.idleSockets())
 		bm := &j.Benchmark
 		dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
-		predicted := sched.PredictSocketFrequency(s, dest, dyn,
-			s.srv.Sink(dest), s.leakAt[dest])
+		predicted := sched.PredictSocketFrequency(s.Vectors(), dest, dyn, s.srv.Sink(dest))
 		if float64(predicted-curFreq) < mc.MinGainMHz {
 			continue
 		}
-		s.migrate(geometry.SocketID(i), dest)
-		// The destination leaves the idle pool; the freed source replaces
+		// The destination leaves the idle set and the freed source joins
 		// it, keeping the pool the same size for later candidates.
-		for k := range idle {
-			if idle[k] == dest {
-				idle[k] = geometry.SocketID(i)
-				break
-			}
-		}
+		s.migrate(geometry.SocketID(i), dest)
 	}
 }
 
 // migrate moves the job on src to dst, charging the transfer cost.
 func (s *Simulator) migrate(srcID, dstID geometry.SocketID) {
-	src := &s.sockets[srcID]
-	dst := &s.sockets[dstID]
-	j := src.j
+	j := s.jobs[srcID]
 
 	// Settle accounting on both sockets up to now.
 	s.advanceSocketTo(int(srcID), s.now)
 	s.advanceSocketTo(int(dstID), s.now)
 
 	// Source goes idle (gated).
-	src.busy = false
-	s.setJob(int(srcID), nil)
+	s.jobs[srcID] = nil
 	s.freq[srcID] = 0
 	s.markIdle(int(srcID))
 	s.eng.invalidatePick(int(srcID))
@@ -121,10 +109,9 @@ func (s *Simulator) migrate(srcID, dstID geometry.SocketID) {
 	j.Work += s.cfg.Migration.Cost
 
 	// Destination starts the job at its locally picked frequency.
-	dst.busy = true
-	s.setJob(int(dstID), j)
+	s.jobs[dstID] = j
 	s.markBusy(int(dstID))
-	s.freq[dstID] = s.pickFrequency(dstID, dst)
+	s.freq[dstID] = s.pickFrequency(dstID)
 	s.refreshDoneAt(int(dstID))
 	s.setPower(int(dstID), s.busyPower(int(dstID)))
 

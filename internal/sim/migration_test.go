@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 
 	"densim/internal/chipmodel"
@@ -43,6 +44,47 @@ func TestMigrationMovesThrottledTailJobs(t *testing.T) {
 	_, s := runOne(t, cfg)
 	if s.Migrations() == 0 {
 		t.Error("no migrations despite throttled sockets and a 20ms period")
+	}
+}
+
+// sortedIdleScheduler wraps a scheduler and counts Pick calls whose idle
+// set breaks the Scheduler contract (sorted by ID).
+type sortedIdleScheduler struct {
+	sched.Scheduler
+	picks, unsorted int
+}
+
+func (c *sortedIdleScheduler) Pick(s sched.State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
+	c.picks++
+	if !sort.SliceIsSorted(idle, func(a, b int) bool { return idle[a] < idle[b] }) {
+		c.unsorted++
+	}
+	return c.Scheduler.Pick(s, j, idle)
+}
+
+// TestMigrationPicksFromSortedIdleSet is the regression test for the
+// migration pass handing Pick its own copy of the idle set with the
+// destination's slot overwritten by the freed source — an unsorted slice
+// that breaks CF's lowest-ID tie-break and CP's contiguous-row binning.
+func TestMigrationPicksFromSortedIdleSet(t *testing.T) {
+	for _, name := range []string{"CF", "CP"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := smallConfig(name, 0.7, workload.Computation)
+			cfg.Duration = 2
+			cfg.Warmup = 1
+			cfg.SinkTau = 0.4
+			cfg.Airflow.Inlet = 40
+			cfg.Migration = MigrationConfig{Period: 0.02}
+			ws := &sortedIdleScheduler{Scheduler: cfg.Scheduler}
+			cfg.Scheduler = ws
+			_, s := runOne(t, cfg)
+			if s.Migrations() == 0 {
+				t.Fatal("no migrations; the pass was not exercised")
+			}
+			if ws.unsorted != 0 {
+				t.Errorf("%d of %d picks got an unsorted idle set", ws.unsorted, ws.picks)
+			}
+		})
 	}
 }
 
@@ -170,7 +212,7 @@ func TestMigrationSkipsBoostCappedJobs(t *testing.T) {
 	if err := h.Err(); err != nil {
 		t.Errorf("invariant violations: %v", err)
 	}
-	if got := s.Frequency(0); got != 0 { // job done; sanity only
+	if got := s.freq[0]; got != 0 { // job done; sanity only
 		t.Logf("socket 0 frequency at end: %v", got)
 	}
 	if s.Migrations() != 0 {

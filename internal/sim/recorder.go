@@ -65,12 +65,14 @@ func snapshot(s *Simulator, now units.Seconds) ZoneSample {
 	for _, sk := range srv.Sockets() {
 		z := srv.Zone(sk.ID)
 		counts[z]++
-		sample.Ambient[z] += float64(s.AmbientTemp(sk.ID))
+		sample.Ambient[z] += float64(s.amb[sk.ID])
 		sample.SockTemp[z] += float64(s.SocketTemp(sk.ID))
-		sample.ChipTemp[z] += float64(s.ChipTemp(sk.ID))
-		if s.Busy(sk.ID) {
+		sample.ChipTemp[z] += float64(s.chip[sk.ID])
+		// Count sockets running a job: Busy also reports dead sockets,
+		// which run nothing at 0 MHz.
+		if s.jobs[sk.ID] != nil {
 			sample.Busy[z]++
-			busyFreqSum[z] += float64(s.Frequency(sk.ID)) / 1900
+			busyFreqSum[z] += float64(s.freq[sk.ID]) / 1900
 		}
 	}
 	for z := 1; z <= depth; z++ {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"densim/internal/geometry"
+	"densim/internal/units"
 	"densim/internal/workload"
 )
 
@@ -59,6 +61,57 @@ func TestRecorderCSV(t *testing.T) {
 	want := len(rec.Samples())*6 + 1
 	if lines != want {
 		t.Errorf("CSV lines = %d, want %d", lines, want)
+	}
+}
+
+// TestRecorderSkipsDeadSockets pins the busy and rel_freq columns to the
+// sockets that actually run a job. A dead socket (the chaos timeline kills
+// socket 7 at 0.20 s) reports Busy so schedulers skip it, but it runs
+// nothing: counting it would overstate its zone's busy count and average
+// its 0 MHz into the zone's relative frequency.
+func TestRecorderSkipsDeadSockets(t *testing.T) {
+	rec := NewRecorder(0.01)
+	cfg := faultConfig(t, "CP", EngineConfig{}, nil)
+	var wantBusy [][]int
+	var wantRel [][]float64
+	deadSamples := 0
+	cfg.Probe = func(s *Simulator, now units.Seconds) {
+		n := len(rec.Samples())
+		rec.Probe(s, now)
+		if len(rec.Samples()) == n {
+			return
+		}
+		busy := make([]int, s.srv.Depth+1)
+		rel := make([]float64, s.srv.Depth+1)
+		for i, j := range s.jobs {
+			if j != nil {
+				z := s.srv.Zone(geometry.SocketID(i))
+				busy[z]++
+				rel[z] += float64(s.freq[i]) / 1900
+			}
+		}
+		for z := range rel {
+			if busy[z] > 0 {
+				rel[z] /= float64(busy[z])
+			}
+		}
+		wantBusy = append(wantBusy, busy)
+		wantRel = append(wantRel, rel)
+		if s.flt.deadCount > 0 {
+			deadSamples++
+		}
+	}
+	runOne(t, cfg)
+	if deadSamples == 0 {
+		t.Fatal("no sample taken while a socket was dead")
+	}
+	for k, smp := range rec.Samples() {
+		for z := 1; z < len(smp.Busy); z++ {
+			if smp.Busy[z] != wantBusy[k][z] || smp.RelFreq[z] != wantRel[k][z] {
+				t.Fatalf("sample %d (t=%.3f) zone %d: busy %d rel_freq %v, want %d running %v",
+					k, float64(smp.At), z, smp.Busy[z], smp.RelFreq[z], wantBusy[k][z], wantRel[k][z])
+			}
+		}
 	}
 }
 

@@ -246,16 +246,11 @@ func (c Config) withDefaults() (Config, error) {
 // neverDone is the cached completion instant of a socket with no job.
 var neverDone = units.Seconds(math.Inf(1))
 
-// socketState is the live occupancy state of one socket. The hot per-socket
-// thermal/DVFS quantities the tick sweep reads and writes every tick live in
-// the Simulator's parallel structure-of-arrays slices (amb, chip, hist, util,
-// pewma, freq, powers), keeping the sweep's inner loop cache-linear; this
-// struct keeps only the event-path bookkeeping.
+// socketState is the event-path bookkeeping of one socket. Everything a
+// scheduler or the tick sweep reads — occupancy (jobs) and the thermal/DVFS
+// quantities — lives in the Simulator's parallel structure-of-arrays slices,
+// keeping the sweep's inner loop cache-linear.
 type socketState struct {
-	busy bool
-	// j is the running job (nil while idle). Written only through
-	// Simulator.setJob, which keeps the benchOf vector view in sync.
-	j          *job.Job
 	lastUpdate units.Seconds
 	// doneAt caches the completion instant of the running job at the
 	// current frequency (neverDone while idle). It is mirrored into the
@@ -263,18 +258,6 @@ type socketState struct {
 	// Simulator.setDoneAt / Simulator.refreshDoneAt.
 	doneAt    units.Seconds
 	placement metrics.JobPlacement
-}
-
-// setJob writes socket i's running-job pointer and keeps the benchOf
-// vector view in sync. Every sockets[i].j write must go through here
-// (mirroring setDoneAt's contract for doneAt).
-func (s *Simulator) setJob(i int, j *job.Job) {
-	s.sockets[i].j = j
-	if j != nil {
-		s.benchOf[i] = &j.Benchmark
-	} else {
-		s.benchOf[i] = nil
-	}
 }
 
 // setDoneAt writes socket i's cached completion instant and keeps the
@@ -295,15 +278,16 @@ func (s *Simulator) refreshDoneAt(i int) {
 // without writing it — the invariant harness compares it against the cached
 // value to catch state changes that skipped the refresh.
 func (s *Simulator) recomputeDoneAt(i int) units.Seconds {
-	st := &s.sockets[i]
-	if !st.busy {
+	j := s.jobs[i]
+	if j == nil {
 		return neverDone
 	}
-	rate := st.j.Benchmark.RelPerf(s.freq[i])
-	return st.lastUpdate + units.Seconds(float64(st.j.Work)/rate)
+	rate := j.Benchmark.RelPerf(s.freq[i])
+	return s.sockets[i].lastUpdate + units.Seconds(float64(j.Work)/rate)
 }
 
-// Simulator runs one configured simulation. It implements sched.State.
+// Simulator runs one configured simulation. It implements sched.State: the
+// StateVectors it hands out are its own structure-of-arrays slices.
 type Simulator struct {
 	cfg Config
 	srv *geometry.Server
@@ -331,7 +315,9 @@ type Simulator struct {
 	// ranges are contiguous ID ranges), so the inner loop is cache-linear
 	// instead of striding through an array of fat structs. powers doubles as
 	// the airflow model's input vector — there is exactly one copy of each
-	// socket's draw.
+	// socket's draw — and jobs, amb, hist, leakAt and caps double as the
+	// schedulers' StateVectors.
+	jobs   []*job.Job      // running job (nil while idle or dead)
 	amb    []units.Celsius // socket ambient temperature (30 s lag)
 	chip   []units.Celsius // peak chip temperature (5 ms lag)
 	hist   []units.Celsius // slow EWMA for A-Random
@@ -339,19 +325,13 @@ type Simulator struct {
 	pewma  []units.Watts   // 30 s power average behind the socket temperature
 	freq   []units.MHz     // current P-state (0 while idle)
 	powers []units.Watts   // current total draw (dynamic + leakage or gated)
-	// benchOf mirrors each busy socket's running benchmark (&j.Benchmark,
-	// nil while idle or dead): the Vectors view schedulers index instead of
-	// calling Busy/RunningJob per socket. Every st.j write must go through
-	// setJob so the mirror can never drift (audited by the invariant
-	// harness).
-	benchOf []*workload.Benchmark
-	// caps mirrors capFor(i, util[i]) — the BoostCap vector view. Its
-	// inputs change in exactly three places, each of which refreshes the
-	// mirror: the utilization EWMA write in the two tick sweeps, the
-	// throttle-fault toggles in applyFaults, and snapshot restore (which
-	// rewrites util and capped wholesale). fmaxAt and the boost-tier config
-	// are immutable after New. Audited against a fresh capFor by the
-	// invariant harness.
+	// caps caches capFor(i, util[i]) — the StateVectors.Cap view, and the
+	// one per-socket cache derived from other state. Its inputs change in
+	// exactly three places, each of which refreshes it: the utilization
+	// EWMA write in the two tick sweeps, the throttle-fault toggles in
+	// applyFaults, and snapshot restore (which rewrites util and capped
+	// wholesale). fmaxAt and the boost-tier config are immutable after New.
+	// Audited against a fresh capFor by the invariant harness.
 	caps  []units.MHz
 	queue job.Queue
 	// jobPool recycles completed jobs' allocations into later arrivals,
@@ -394,7 +374,7 @@ type Simulator struct {
 	laneIdx  []int32
 	inletC   float64
 	telTicks uint64 // local tick count gating the lane scan and flush
-	// laneEpoch[ch] backs sched.EpochState: it increases whenever any
+	// laneEpoch[ch] backs StateVectors.Epoch: it increases whenever any
 	// scheduler-visible state of channel ch's sockets may have changed — a
 	// thermal sweep that was not a bit-exact identity on the channel, an
 	// occupancy or running-job change, any fault application, a snapshot
@@ -447,7 +427,7 @@ func New(cfg Config) (*Simulator, error) {
 		pewma:   make([]units.Watts, cfg.Server.NumSockets()),
 		freq:    make([]units.MHz, cfg.Server.NumSockets()),
 		powers:  make([]units.Watts, cfg.Server.NumSockets()),
-		benchOf: make([]*workload.Benchmark, cfg.Server.NumSockets()),
+		jobs:    make([]*job.Job, cfg.Server.NumSockets()),
 		col:     metrics.NewCollector(),
 		ambBuf:  make([]units.Celsius, cfg.Server.NumSockets()),
 		idleSet: make([]geometry.SocketID, cfg.Server.NumSockets(), cfg.Server.NumSockets()),
@@ -547,9 +527,6 @@ func (s *Simulator) Server() *geometry.Server { return s.srv }
 // Airflow implements sched.State.
 func (s *Simulator) Airflow() *airflow.Model { return s.af }
 
-// ChipTemp implements sched.State.
-func (s *Simulator) ChipTemp(id geometry.SocketID) units.Celsius { return s.chip[id] }
-
 // SocketTemp implements sched.State: the heatsink-mass (lumped socket)
 // temperature — ambient plus the socket's 30-second power average across the
 // external resistance. This is the "instantaneous socket temperature" the
@@ -558,43 +535,16 @@ func (s *Simulator) SocketTemp(id geometry.SocketID) units.Celsius {
 	return s.amb[id] + units.Celsius(float64(s.pewma[id])*s.srv.Sink(id).RExt())
 }
 
-// AmbientTemp implements sched.State.
-func (s *Simulator) AmbientTemp(id geometry.SocketID) units.Celsius { return s.amb[id] }
-
-// HistoricalTemp implements sched.State.
-func (s *Simulator) HistoricalTemp(id geometry.SocketID) units.Celsius {
-	return s.hist[id]
-}
-
 // Busy implements sched.State. A dead socket (socket-death fault) reports
 // busy: it cannot accept work, and every scheduler already knows how to step
 // around busy sockets — no policy needs a third state.
 func (s *Simulator) Busy(id geometry.SocketID) bool {
-	return s.sockets[id].busy || (s.flt != nil && s.flt.dead[id])
+	return s.jobs[id] != nil || (s.flt != nil && s.flt.dead[id])
 }
 
-// RunningJob implements sched.State.
-func (s *Simulator) RunningJob(id geometry.SocketID) *job.Job { return s.sockets[id].j }
-
-// Frequency implements sched.State.
-func (s *Simulator) Frequency(id geometry.SocketID) units.MHz { return s.freq[id] }
-
-// LeakageAt implements sched.State: the socket's leakage model (per-socket
-// under heterogeneous SKUs, one shared curve otherwise).
-func (s *Simulator) LeakageAt(id geometry.SocketID) chipmodel.Leakage { return s.leakAt[id] }
-
-// BoostCap implements sched.State: the highest P-state the socket's boost
-// budget, SKU ceiling, and any active throttle fault currently permit.
-func (s *Simulator) BoostCap(id geometry.SocketID) units.MHz {
-	return s.capFor(int(id), s.util[id])
-}
-
-// Vectors implements sched.VecState: the SoA slices are handed out
-// directly, so schedulers index them instead of making one interface call
-// per socket. benchOf is maintained by the setJob funnel, which keeps it
-// bit-equal to the Busy/RunningJob view at every instant.
+// Vectors implements sched.State: the SoA slices themselves, no copying.
 func (s *Simulator) Vectors() sched.StateVectors {
-	return sched.StateVectors{Amb: s.amb, Bench: s.benchOf, Leak: s.leakAt, Epoch: s.laneEpoch, Cap: s.caps}
+	return sched.StateVectors{Amb: s.amb, Hist: s.hist, Job: s.jobs, Leak: s.leakAt, Cap: s.caps, Epoch: s.laneEpoch}
 }
 
 // capFor returns socket i's frequency cap at utilization util: the boost
@@ -627,12 +577,6 @@ func (s *Simulator) boostCap(util float64) units.MHz {
 }
 
 var _ sched.State = (*Simulator)(nil)
-var _ sched.VecState = (*Simulator)(nil)
-var _ sched.EpochState = (*Simulator)(nil)
-
-// LaneEpoch implements sched.EpochState: see the laneEpoch field for the
-// change events that advance it.
-func (s *Simulator) LaneEpoch(ch int) uint64 { return s.laneEpoch[ch] }
 
 // bumpAllLanes advances every channel's epoch — the conservative bump for
 // events whose blast radius is not channel-local (a serial full sweep, a
@@ -865,7 +809,7 @@ func (s *Simulator) nextCompletionScan() (units.Seconds, geometry.SocketID) {
 // completeJob finishes the job on socket id at time t.
 func (s *Simulator) completeJob(id geometry.SocketID, t units.Seconds) {
 	st := &s.sockets[id]
-	j := st.j
+	j := s.jobs[id]
 	j.Done = t
 	residual := j.Work
 	j.Work = 0
@@ -881,8 +825,7 @@ func (s *Simulator) completeJob(id geometry.SocketID, t units.Seconds) {
 	if s.tel != nil {
 		s.tel.OnComplete(t, int(id), j.Done-j.Arrival, j.Done-j.Started)
 	}
-	st.busy = false
-	s.setJob(int(id), nil)
+	s.jobs[id] = nil
 	s.freq[id] = 0
 	s.markIdle(int(id))
 	s.eng.invalidatePick(int(id))
@@ -939,16 +882,14 @@ func (s *Simulator) idleSockets() []geometry.SocketID {
 
 // placeJob starts j on socket id at time t.
 func (s *Simulator) placeJob(id geometry.SocketID, j *job.Job, t units.Seconds) {
-	st := &s.sockets[id]
-	if st.busy {
+	if s.jobs[id] != nil {
 		panic(fmt.Sprintf("sim: scheduler %s picked busy socket %d", s.cfg.Scheduler.Name(), id))
 	}
 	s.advanceSocketTo(int(id), t)
-	st.busy = true
-	s.setJob(int(id), j)
+	s.jobs[id] = j
 	j.Started = t
 	s.markBusy(int(id))
-	s.freq[id] = s.pickFrequency(id, st)
+	s.freq[id] = s.pickFrequency(id)
 	s.refreshDoneAt(int(id))
 	s.setPower(int(id), s.busyPower(int(id)))
 	if s.checks != nil {
@@ -962,7 +903,7 @@ func (s *Simulator) placeJob(id geometry.SocketID, j *job.Job, t units.Seconds) 
 // busyPower returns dynamic power at the socket's frequency plus the
 // socket's leakage at its current chip temperature.
 func (s *Simulator) busyPower(i int) units.Watts {
-	return s.sockets[i].j.Benchmark.DynamicPowerAt(s.freq[i]) + s.leakAt[i].At(s.chip[i])
+	return s.jobs[i].Benchmark.DynamicPowerAt(s.freq[i]) + s.leakAt[i].At(s.chip[i])
 }
 
 // advanceSocketTo accrues work, busy-frequency time, and energy on one
@@ -973,17 +914,17 @@ func (s *Simulator) advanceSocketTo(i int, t units.Seconds) {
 	if dt <= 0 {
 		return
 	}
-	if st.busy {
+	if j := s.jobs[i]; j != nil {
 		f := s.freq[i]
-		rate := st.j.Benchmark.RelPerf(f)
+		rate := j.Benchmark.RelPerf(f)
 		consumed := units.Seconds(float64(dt) * rate)
-		st.j.Work -= consumed
+		j.Work -= consumed
 		var clipped units.Seconds
-		if st.j.Work < 0 {
-			clipped = -st.j.Work
-			st.j.Work = 0
+		if j.Work < 0 {
+			clipped = -j.Work
+			j.Work = 0
 		}
-		s.setDoneAt(i, t+units.Seconds(float64(st.j.Work)/rate))
+		s.setDoneAt(i, t+units.Seconds(float64(j.Work)/rate))
 		if t > s.cfg.Warmup {
 			seg := dt
 			if st.lastUpdate < s.cfg.Warmup {
@@ -993,7 +934,7 @@ func (s *Simulator) advanceSocketTo(i int, t units.Seconds) {
 			s.col.OnBusySegment(seg, rel, chipmodel.IsBoost(f), st.placement)
 		}
 		if s.checks != nil {
-			s.checks.OnWorkSegment(int64(st.j.ID), consumed, clipped, t)
+			s.checks.OnWorkSegment(int64(j.ID), consumed, clipped, t)
 		}
 	}
 	if t > s.cfg.Warmup {
@@ -1047,9 +988,9 @@ func (s *Simulator) powerManagerTickSerial(dt units.Seconds) {
 	kHist, kUtil := s.tickGains.hist, s.tickGains.util
 
 	for i := range s.sockets {
-		st := &s.sockets[i]
 		id := geometry.SocketID(i)
 		sink := s.srv.Sink(id)
+		busy := s.jobs[i] != nil
 
 		// 2) The socket ambient moves toward the airflow steady state on
 		// the 30 s socket time constant (the heatsink masses buffer the
@@ -1067,7 +1008,7 @@ func (s *Simulator) powerManagerTickSerial(dt units.Seconds) {
 		s.pewma[i] = units.Watts(chipmodel.StepWithGain(units.Celsius(s.pewma[i]), units.Celsius(s.powers[i]), kSink))
 		s.hist[i] = chipmodel.StepWithGain(s.hist[i], s.SocketTemp(id), kHist)
 		target := units.Celsius(0)
-		if st.busy {
+		if busy {
 			target = 1
 		}
 		s.util[i] = float64(chipmodel.StepWithGain(units.Celsius(s.util[i]), target, kUtil))
@@ -1075,8 +1016,8 @@ func (s *Simulator) powerManagerTickSerial(dt units.Seconds) {
 
 		// 5) DVFS re-pick for busy sockets; refresh power either way. The
 		// cached completion instant only moves when the P-state does.
-		if st.busy {
-			if f := s.pickFrequencyIndexed(id, st); f != s.freq[i] {
+		if busy {
+			if f := s.pickFrequencyIndexed(id); f != s.freq[i] {
 				if s.tel != nil {
 					s.tel.OnThrottle(s.now, i, s.freq[i], f)
 				}
@@ -1114,25 +1055,14 @@ func (s *Simulator) powerManagerTickSerial(dt units.Seconds) {
 // checks are installed; the hot tick loop above stays untouched.
 func (s *Simulator) auditTick() {
 	for i := range s.sockets {
-		st := &s.sockets[i]
-		id := geometry.SocketID(i)
-		sink := s.srv.Sink(id)
+		sink := s.srv.Sink(geometry.SocketID(i))
 		// Headroom: the socket's current operating point settles at or
 		// below the limit. The converged fixed point (not the governor's
 		// two-step truncation) is what the chip integrator actually
 		// approaches, so the harness's settled-chip bound is tight.
-		headroom := s.settledChipTemp(i, st, sink) <= chipmodel.TempLimit
-		s.checks.OnSocketTick(i, st.busy, s.amb[i], s.chip[i], headroom, s.now)
-		// The benchOf vector view must mirror the socket's job exactly: a
-		// desync means some st.j write bypassed the setJob funnel.
-		wantBench := (*workload.Benchmark)(nil)
-		if st.j != nil {
-			wantBench = &st.j.Benchmark
-		}
-		if s.benchOf[i] != wantBench {
-			panic(fmt.Sprintf("sim: benchOf[%d] desynced from the socket's job (a st.j write bypassed setJob)", i))
-		}
-		// The caps mirror must equal a fresh capFor: a desync means some
+		headroom := s.settledChipTemp(i, sink) <= chipmodel.TempLimit
+		s.checks.OnSocketTick(i, s.jobs[i] != nil, s.amb[i], s.chip[i], headroom, s.now)
+		// The caps cache must equal a fresh capFor: a desync means some
 		// input (util, throttle flag) changed without refreshing it.
 		if want := s.capFor(i, s.util[i]); s.caps[i] != want {
 			panic(fmt.Sprintf("sim: caps[%d]=%v desynced from capFor=%v (a util or throttle write bypassed the mirror refresh)", i, s.caps[i], want))
@@ -1175,7 +1105,7 @@ func (s *Simulator) auditEngineCaches() {
 			dead++
 			continue
 		}
-		if !s.sockets[i].busy {
+		if s.jobs[i] == nil {
 			if firstDiff < 0 && (scanned >= len(s.idleSet) || s.idleSet[scanned] != geometry.SocketID(i)) {
 				firstDiff = scanned
 			}
@@ -1192,12 +1122,13 @@ func (s *Simulator) auditEngineCaches() {
 // the iteration contracts; starting from the current chip temperature it
 // converges in a handful of steps. Idle sockets draw the fixed gated power
 // with no leakage feedback, so their target is already the fixed point.
-func (s *Simulator) settledChipTemp(i int, st *socketState, sink chipmodel.Sink) units.Celsius {
-	if !st.busy {
+func (s *Simulator) settledChipTemp(i int, sink chipmodel.Sink) units.Celsius {
+	j := s.jobs[i]
+	if j == nil {
 		return chipmodel.PeakTemp(s.amb[i], s.idlePow(i), sink)
 	}
 	leak := s.leakAt[i]
-	dyn := st.j.Benchmark.DynamicPowerAt(s.freq[i])
+	dyn := j.Benchmark.DynamicPowerAt(s.freq[i])
 	t := s.chip[i]
 	for k := 0; k < 64; k++ {
 		nt := chipmodel.PeakTemp(s.amb[i], dyn+leak.At(t), sink)
@@ -1213,8 +1144,8 @@ func (s *Simulator) settledChipTemp(i int, st *socketState, sink chipmodel.Sink)
 // frequency: with the default TableDVFS manager this is the Table III policy
 // (highest admissible P-state under the predicted Equation-1 peak, boost
 // budget respected).
-func (s *Simulator) pickFrequencyIndexed(id geometry.SocketID, st *socketState) units.MHz {
-	return s.power.PickFrequency(s.amb[id], &st.j.Benchmark, s.srv.Sink(id), s.capFor(int(id), s.util[id]), s.leakAt[id])
+func (s *Simulator) pickFrequencyIndexed(id geometry.SocketID) units.MHz {
+	return s.power.PickFrequency(s.amb[id], &s.jobs[id].Benchmark, s.srv.Sink(id), s.capFor(int(id), s.util[id]), s.leakAt[id])
 }
 
 // Arrived returns the number of jobs admitted.

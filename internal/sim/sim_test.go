@@ -139,7 +139,7 @@ func TestBackSocketsRunHotterUnderLoad(t *testing.T) {
 	var frontSum, backSum float64
 	var nf, nb int
 	for _, sk := range srv.Sockets() {
-		amb := float64(s.AmbientTemp(sk.ID))
+		amb := float64(s.amb[sk.ID])
 		if srv.IsFrontHalf(sk.ID) {
 			frontSum += amb
 			nf++
@@ -257,7 +257,7 @@ func TestChipTempsStayBounded(t *testing.T) {
 	cfg.Duration = 3
 	_, s := runOne(t, cfg)
 	for _, sk := range s.Server().Sockets() {
-		temp := float64(s.ChipTemp(sk.ID))
+		temp := float64(s.chip[sk.ID])
 		if temp < float64(s.Airflow().Inlet())-1 {
 			t.Fatalf("socket %d chip temp %v below inlet", sk.ID, temp)
 		}
@@ -433,13 +433,13 @@ func TestBusySocketsAlwaysAtValidPState(t *testing.T) {
 	cfg.Probe = func(s *Simulator, now units.Seconds) {
 		for _, sk := range s.Server().Sockets() {
 			if s.Busy(sk.ID) {
-				if !valid[s.Frequency(sk.ID)] {
+				if !valid[s.freq[sk.ID]] {
 					violations++
 				}
-			} else if s.Frequency(sk.ID) != 0 {
+			} else if s.freq[sk.ID] != 0 {
 				violations++
 			}
-			if s.AmbientTemp(sk.ID) < s.Airflow().Inlet()-0.01 {
+			if s.amb[sk.ID] < s.Airflow().Inlet()-0.01 {
 				violations++
 			}
 		}

@@ -210,9 +210,9 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	p.u64(uint64(len(s.sockets)))
 	for i := range s.sockets {
 		st := &s.sockets[i]
-		if st.busy {
+		if j := s.jobs[i]; j != nil {
 			p.u8(1)
-			p.job(st.j)
+			p.job(j)
 		} else {
 			p.u8(0)
 		}
@@ -346,20 +346,19 @@ func (s *Simulator) Restore(data []byte) error {
 		return fmt.Errorf("sim: snapshot has %d sockets, topology has %d", nSockets, len(s.sockets))
 	}
 	type sockSnap struct {
-		j     *job.Job
-		state socketState
-		freq  units.MHz
+		j               *job.Job
+		state           socketState
+		freq            units.MHz
 		amb, chip, hist units.Celsius
-		util  float64
-		pewma, power units.Watts
+		util            float64
+		pewma, power    units.Watts
 	}
 	socks := make([]sockSnap, nSockets)
 	for i := range socks {
 		sn := &socks[i]
 		st := &sn.state
 		if busy := r.u8(); busy == 1 {
-			st.busy = true
-			socks[i].j = r.job()
+			sn.j = r.job()
 		} else if busy != 0 {
 			return fmt.Errorf("sim: snapshot socket %d has busy flag %d", i, busy)
 		}
@@ -395,14 +394,14 @@ func (s *Simulator) Restore(data []byte) error {
 		return colErr
 	}
 	type faultSnap struct {
-		cursor, working    int
-		derate, flowFactor float64
-		fanPowerW          units.Watts
-		fanEnergyJ         units.Joules
-		curInlet           units.Celsius
-		rampActive         bool
-		rampStart, rampLen units.Seconds
-		rampFrom, rampTo   units.Celsius
+		cursor, working     int
+		derate, flowFactor  float64
+		fanPowerW           units.Watts
+		fanEnergyJ          units.Joules
+		curInlet            units.Celsius
+		rampActive          bool
+		rampStart, rampLen  units.Seconds
+		rampFrom, rampTo    units.Celsius
 		requeues, deadCount int
 		dead, capped        []bool
 	}
@@ -449,7 +448,7 @@ func (s *Simulator) Restore(data []byte) error {
 			if fs.dead[i] {
 				fs.deadCount++
 			}
-			if fs.dead[i] && socks[i].state.busy {
+			if fs.dead[i] && socks[i].j != nil {
 				return fmt.Errorf("sim: snapshot socket %d is both dead and busy", i)
 			}
 		}
@@ -477,10 +476,9 @@ func (s *Simulator) Restore(data []byte) error {
 	for i := range s.sockets {
 		sn := &socks[i]
 		st := &sn.state
-		st.j = socks[i].j
 		st.placement = s.sockets[i].placement // immutable, from topology
 		s.sockets[i] = *st
-		s.setJob(i, st.j) // rebuild the benchOf vector view
+		s.jobs[i] = sn.j
 		s.freq[i] = sn.freq
 		s.amb[i] = sn.amb
 		s.chip[i] = sn.chip
@@ -489,7 +487,7 @@ func (s *Simulator) Restore(data []byte) error {
 		s.pewma[i] = sn.pewma
 		s.powers[i] = sn.power
 		s.comp.update(i, st.doneAt)
-		if st.busy {
+		if sn.j != nil {
 			s.busyCount++
 		} else if fs == nil || !fs.dead[i] {
 			// Dead sockets are neither busy nor idle: they stay out of the
