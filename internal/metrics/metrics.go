@@ -147,8 +147,8 @@ func (c *Collector) OnEnergy(j units.Joules) { c.energyJ += float64(j) }
 // OnEnergyRepeat accumulates n consecutive OnEnergy(j) calls. It runs the
 // identical dependent addition chain — bit-for-bit the same accumulator
 // trajectory — but keeps it in a register instead of paying a call and a
-// memory round-trip per addition. The simulator's event-horizon stride
-// replays idle-tail energy through this.
+// memory round-trip per addition. The simulator's event-gap advance
+// replays a dead tail's idle energy through this on homogeneous servers.
 func (c *Collector) OnEnergyRepeat(j units.Joules, n int) {
 	e := c.energyJ
 	v := float64(j)

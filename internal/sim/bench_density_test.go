@@ -136,9 +136,9 @@ func BenchmarkSimSecondDD360CP90Burst(b *testing.B) {
 }
 
 // BenchmarkSimSecondIdleSerial pins the pristine serial engine on the idle
-// SUT run: the pre-engine baseline that the event-horizon stride in
-// BenchmarkSimSecondIdle (default engine) is measured against in
-// BENCH_PR5.json.
+// SUT run: the baseline that BenchmarkSimSecondIdle (default engine, whose
+// whole run is a dead tail the gap advance skips) is measured against, in
+// BENCH_PR5.json and by scripts/bench.sh smoke.
 func BenchmarkSimSecondIdleSerial(b *testing.B) {
 	benchRunServer(b, geometry.SUT(), "CF", 0, EngineConfig{Mode: EngineSerial})
 }

@@ -8,7 +8,8 @@ package sim
 //     equivalence tests compare the event engine against. Dense ambient
 //     recompute every tick, ascending-ID sweep, no skips.
 //
-//   - event (the default): the same sweep with three exact shortcuts.
+//   - event (the default): the same sweep with two exact shortcuts, plus
+//     a second licence for the second one.
 //
 //     Dirty-lane incremental advection. The airflow network is independent
 //     per channel (row x lane), so a channel whose socket powers are
@@ -22,11 +23,12 @@ package sim
 //     the whole sweep is skipped, and the loop advances straight from event
 //     to event through the gap (event.go).
 //
-//     Dead-tail striding. When arrivals are exhausted, the queue is empty
-//     and no socket is busy, every remaining tick only accrues idle energy;
-//     the engine replays exactly those floating-point additions in a tight
-//     loop and skips the thermal sweep, whose state is unobservable from
-//     that point on. Unlike the gap advance it needs no settled lanes.
+//     The dead-tail licence. Once arrivals are exhausted, the queue is
+//     empty and no socket is busy, the gap advance may also march through
+//     lanes that are not settled, provided nothing installed reads the
+//     thermal field (no Probe, Checks or telemetry) and the loop runs to
+//     the end of the run. Idle draw does not depend on the thermal state,
+//     so only the idle-energy accrual is replayed and the sweep is skipped.
 //
 // Parallelism lives above a run, not inside it: experiments.Runner runs
 // sweep cells and seeds concurrently, and the fleet pool shards chassis.
@@ -34,7 +36,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"densim/internal/airflow"
 	"densim/internal/chipmodel"
@@ -62,7 +63,10 @@ type EngineConfig struct {
 	// falls back to the serial sweep when the thermal chain is not the
 	// airflow advection network (channel independence is what makes the
 	// incremental sweep exact). A Probe or the invariant harness observes
-	// every tick, so either one disables its tick skipping.
+	// every tick, so either one disables its tick skipping. Installed
+	// telemetry samples the thermal field, so it disables only the
+	// dead-tail licence: an instrumented run sweeps its dead tail until the
+	// lanes settle.
 	Mode string
 }
 
@@ -80,10 +84,11 @@ type engineState struct {
 	// incremental selects the dirty-lane sweep; false is the pristine
 	// serial path.
 	incremental bool
-	// stride enables the dead-tail fast-forward. With incremental it also
-	// arms laneSettled, the fixed-point proof behind the all-settled skip
-	// and the event queue's gap advance.
-	stride bool
+	// skipTicks arms tick skipping: no Probe or Checks observes individual
+	// ticks. It licenses the gap advance over a dead tail (deadTail), and
+	// with incremental it also arms laneSettled, the fixed-point proof
+	// behind the all-settled skip and the gap advance over settled lanes.
+	skipTicks bool
 
 	// afm is the airflow model's channel view (set when incremental).
 	afm     *airflow.Model
@@ -100,7 +105,7 @@ type engineState struct {
 	// laneSettled[ch] records that channel ch's last sweep was a bit-exact
 	// identity (clean channel, no socket field changed). While every lane is
 	// settled the whole sweep is a no-op and the engine skips it outright.
-	// Nil unless stride and incremental; cleared by every power write and
+	// Nil unless skipTicks and incremental; cleared by every power write and
 	// busy transition touching the channel.
 	laneSettled []bool
 
@@ -185,8 +190,8 @@ func (s *Simulator) resolveEngine() {
 
 	// A Probe and the invariant harness observe every tick; skipping ticks
 	// would hide them, so their presence disables it outright.
-	e.stride = !serial && s.cfg.Probe == nil && s.cfg.Checks == nil
-	if e.stride && e.incremental {
+	e.skipTicks = !serial && s.cfg.Probe == nil && s.cfg.Checks == nil
+	if e.skipTicks && e.incremental {
 		e.laneSettled = make([]bool, e.numChan)
 	}
 }
@@ -417,102 +422,5 @@ func (s *Simulator) powerManagerTickIncremental(dt units.Seconds) {
 			}
 			s.tel.Flush()
 		}
-	}
-}
-
-// canStride reports whether the run has reached a strideable dead tail:
-// arrivals exhausted, queue empty, nothing running, and nothing installed
-// that observes individual ticks. From such a state no simulation event can
-// occur before the horizon, and the thermal sweep's state is unobservable.
-func (s *Simulator) canStride() bool {
-	return s.eng.stride &&
-		s.busyCount == 0 &&
-		s.queue.Len() == 0 &&
-		s.now < s.cfg.Duration &&
-		math.IsInf(float64(s.nextArrivalTime()), 1) &&
-		// A pending fault step or an inlet ramp in flight can still change
-		// the (observable) energy accrual and fan ledgers inside the tail.
-		(s.flt == nil || s.flt.idle())
-}
-
-// strideIdleTail fast-forwards the dead tail to the run's end, replaying
-// exactly the floating-point effects the serial loop would produce: the
-// accumulated s.now tick additions and, per tick, one warmup-clipped
-// idle-energy addition per socket in the serial order (tick-major,
-// socket-minor; every idle socket draws the identical gated power, an
-// invariant of the idle state). The thermal integrators are frozen — no
-// event, pick, metric, or probe can observe them between here and the end
-// of the run. Completes the run: afterwards finished() holds or the drain
-// limit was hit.
-func (s *Simulator) strideIdleTail(tick, hardStop units.Seconds) {
-	if s.hetero || s.flt != nil {
-		s.strideIdleTailSlow(tick, hardStop)
-		return
-	}
-	warmup := s.cfg.Warmup
-	dur := s.cfg.Duration
-	perTick := float64(s.gatedPow[0])
-	n := len(s.sockets)
-	var ticks int64
-	for {
-		last := s.now
-		tickEnd := last + tick
-		if tickEnd > warmup {
-			seg := tickEnd - last
-			if last < warmup {
-				seg = tickEnd - warmup
-			}
-			s.col.OnEnergyRepeat(units.Joules(perTick*float64(seg)), n)
-		}
-		s.now = tickEnd
-		ticks++
-		if s.now >= dur || s.now >= hardStop {
-			break
-		}
-	}
-	for i := range s.sockets {
-		s.sockets[i].lastUpdate = s.now
-	}
-	if s.tel != nil {
-		s.tel.OnStride(ticks)
-	}
-}
-
-// strideIdleTailSlow is the stride for runs where idle draws differ per
-// socket (heterogeneous SKUs, dead sockets) or a fan ledger keeps accruing:
-// the thermal sweep still freezes, but energy is replayed per tick per
-// socket in the exact serial order (tick-major, socket-minor), so the
-// collector's floating-point accumulation is bit-identical to the unstrided
-// loop. Still skips the whole thermal/DVFS sweep — the dominant cost.
-func (s *Simulator) strideIdleTailSlow(tick, hardStop units.Seconds) {
-	warmup := s.cfg.Warmup
-	dur := s.cfg.Duration
-	var ticks int64
-	for {
-		last := s.now
-		tickEnd := last + tick
-		if tickEnd > warmup {
-			seg := tickEnd - last
-			if last < warmup {
-				seg = tickEnd - warmup
-			}
-			for i := range s.sockets {
-				s.col.OnEnergy(units.Joules(float64(s.powers[i]) * float64(seg)))
-			}
-		}
-		s.now = tickEnd
-		if s.flt != nil {
-			s.accrueFanEnergy(last, tickEnd)
-		}
-		ticks++
-		if s.now >= dur || s.now >= hardStop {
-			break
-		}
-	}
-	for i := range s.sockets {
-		s.sockets[i].lastUpdate = s.now
-	}
-	if s.tel != nil {
-		s.tel.OnStride(ticks)
 	}
 }

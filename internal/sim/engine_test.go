@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"densim/internal/airflow"
+	"densim/internal/fault"
 	"densim/internal/geometry"
 	"densim/internal/metrics"
 	"densim/internal/sched"
@@ -40,12 +41,13 @@ func equivTopologies(t *testing.T) map[string]*geometry.Server {
 }
 
 // runEngineVariant runs one scheduler/topology/engine combination with a
-// fresh telemetry instance and returns the result plus the name-keyed
-// counter map with the engine-only counters removed. With fork set, the run
-// is interrupted at a mid-run tick boundary, snapshotted, restored in place
-// (which exercises the full serialize/validate/rebuild cycle while keeping
-// the same telemetry accumulator), and finished.
-func runEngineVariant(t *testing.T, srv *geometry.Server, schedName string, eng EngineConfig, load float64, fork bool) (metrics.Result, map[string]int64) {
+// fresh telemetry instance and returns the result, the name-keyed counter
+// map with the engine-only counters removed, and the per-lane maximum
+// ambient rise. With fork set, the run is interrupted at a mid-run tick
+// boundary, snapshotted, restored in place (which exercises the full
+// serialize/validate/rebuild cycle while keeping the same telemetry
+// accumulator), and finished.
+func runEngineVariant(t *testing.T, srv *geometry.Server, schedName string, eng EngineConfig, load float64, fork bool) (metrics.Result, map[string]int64, []float64) {
 	t.Helper()
 	s, err := sched.ByName(schedName, 1)
 	if err != nil {
@@ -83,28 +85,25 @@ func runEngineVariant(t *testing.T, srv *geometry.Server, schedName string, eng 
 	} else {
 		res = sim.Run()
 	}
-	counters := tel.Snapshot(nil).Counters
-	for _, id := range telemetry.EngineCounters() {
-		delete(counters, id.Name())
-	}
-	return res, counters
+	return res, withoutEngineCounters(tel), tel.LaneRiseMax()
 }
 
 // TestEngineEquivalenceMatrix is the tentpole's oracle in miniature: every
 // registered scheduler on the SUT and the double-density system, executed
 // by every engine variant, must produce a byte-identical metrics.Result and
-// identical telemetry counters (modulo the engine's own skip/stride
-// counters). Bit-exactness is the contract — reflect.DeepEqual over the
-// float-bearing Result, no tolerances.
+// identical telemetry counters (modulo the engine's own skip counters) and
+// identical lane-rise maxima, the thermal field as telemetry observes it.
+// Bit-exactness is the contract — reflect.DeepEqual over the float-bearing
+// Result, no tolerances.
 func TestEngineEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is minutes under -race; skipped in -short")
 	}
 	for topoName, srv := range equivTopologies(t) {
 		for _, schedName := range sched.Names() {
-			refRes, refCounters := runEngineVariant(t, srv, schedName, engineVariants[0].cfg, 0.9, false)
+			refRes, refCounters, refRise := runEngineVariant(t, srv, schedName, engineVariants[0].cfg, 0.9, false)
 			for _, v := range engineVariants[1:] {
-				res, counters := runEngineVariant(t, srv, schedName, v.cfg, 0.9, v.fork)
+				res, counters, rise := runEngineVariant(t, srv, schedName, v.cfg, 0.9, v.fork)
 				if !reflect.DeepEqual(res, refRes) {
 					t.Errorf("%s/%s/%s: result diverges from serial\n got %+v\nwant %+v",
 						topoName, schedName, v.name, res, refRes)
@@ -113,17 +112,21 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 					t.Errorf("%s/%s/%s: counters diverge from serial\n got %v\nwant %v",
 						topoName, schedName, v.name, counters, refCounters)
 				}
+				if !reflect.DeepEqual(rise, refRise) {
+					t.Errorf("%s/%s/%s: lane rise maxima diverge from serial\n got %v\nwant %v",
+						topoName, schedName, v.name, rise, refRise)
+				}
 			}
 		}
 	}
 }
 
-// strideConfig builds a run with a deterministic dead tail: a burst of
+// deadTailConfig builds a run with a deterministic dead tail: a burst of
 // short jobs at t=0, all gone within tens of milliseconds, then an empty
-// horizon out to 0.4s the engine can stride through. A Poisson stream is
-// no good here — its arrivals span the whole horizon, so the strideable
-// window shrinks to the last few ticks.
-func strideConfig(t *testing.T, eng EngineConfig, tel *telemetry.Telemetry) Config {
+// horizon out to 0.4s the gap advance can take under its dead-tail licence.
+// A Poisson stream is no good here — its arrivals span the whole horizon, so
+// the dead tail shrinks to the last few ticks.
+func deadTailConfig(t *testing.T, eng EngineConfig, tel *telemetry.Telemetry) Config {
 	t.Helper()
 	s, err := sched.ByName("CF", 1)
 	if err != nil {
@@ -148,48 +151,105 @@ func strideConfig(t *testing.T, eng EngineConfig, tel *telemetry.Telemetry) Conf
 	}
 }
 
-// TestEngineStrideFires pins the event-horizon stride to actually engaging
-// on an idle tail — and to changing nothing. After the t=0 job burst
-// drains, the rest of the horizon has no arrivals pending and nothing
-// running; the engine must fast-forward it (CStrideTicks > 0), skip the
-// settled lanes while the burst runs (CLaneSkips > 0), and still match the
-// serial run bit-for-bit, including the total tick count.
-func TestEngineStrideFires(t *testing.T) {
-	refTel := telemetry.New("serial")
-	refSim, err := New(strideConfig(t, EngineConfig{Mode: EngineSerial}, refTel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRes := refSim.Run()
-	refCounters := refTel.Snapshot(nil).Counters
-	for _, id := range telemetry.EngineCounters() {
-		delete(refCounters, id.Name())
-	}
-
-	tel := telemetry.New("stride")
-	sim, err := New(strideConfig(t, EngineConfig{}, tel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sim.eng.stride {
-		t.Fatal("stride not enabled on the default engine")
-	}
-	res := sim.Run()
-	if got := tel.Counter(telemetry.CStrideTicks); got == 0 {
-		t.Error("CStrideTicks = 0: the idle tail was never strided")
-	}
-	if skips := tel.Counter(telemetry.CLaneSkips); skips == 0 {
-		t.Error("CLaneSkips = 0: the dirty-lane engine never skipped a settled lane")
-	}
+// withoutEngineCounters returns tel's counters minus the engine-only ones,
+// which are the only counters allowed to differ across engines.
+func withoutEngineCounters(tel *telemetry.Telemetry) map[string]int64 {
 	counters := tel.Snapshot(nil).Counters
 	for _, id := range telemetry.EngineCounters() {
 		delete(counters, id.Name())
 	}
-	if !reflect.DeepEqual(res, refRes) {
-		t.Errorf("strided result diverges from serial\n got %+v\nwant %+v", res, refRes)
+	return counters
+}
+
+// TestEngineDeadTailTelemetryMatchesSerial is the regression test for a
+// dead tail whose thermal field telemetry reads: installed telemetry samples
+// every lane's ambient rise, so the default engine must keep sweeping the
+// tail (the field keeps moving after the last job leaves) and report the
+// lane-rise maxima and counters the serial reference does. A tail skip that
+// freezes the field under telemetry reads lane 0's maximum rise as 0.93 °C
+// against serial's 10.37 °C, with an identical metrics.Result.
+func TestEngineDeadTailTelemetryMatchesSerial(t *testing.T) {
+	refTel := telemetry.New("serial")
+	refSim, err := New(deadTailConfig(t, EngineConfig{Mode: EngineSerial}, refTel))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(counters, refCounters) {
-		t.Errorf("strided counters diverge from serial\n got %v\nwant %v", counters, refCounters)
+	refRes := refSim.Run()
+
+	tel := telemetry.New("event")
+	sim, err := New(deadTailConfig(t, EngineConfig{}, tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sim.Run()
+	if !reflect.DeepEqual(res, refRes) {
+		t.Errorf("result diverges from serial\n got %+v\nwant %+v", res, refRes)
+	}
+	if got, want := tel.LaneRiseMax(), refTel.LaneRiseMax(); !reflect.DeepEqual(got, want) {
+		t.Errorf("lane rise maxima diverge from serial\n got %v\nwant %v", got, want)
+	}
+	if got, want := withoutEngineCounters(tel), withoutEngineCounters(refTel); !reflect.DeepEqual(got, want) {
+		t.Errorf("counters diverge from serial\n got %v\nwant %v", got, want)
+	}
+	if skips := tel.Counter(telemetry.CLaneSkips); skips == 0 {
+		t.Error("CLaneSkips = 0: the dirty-lane engine never skipped a settled lane")
+	}
+}
+
+// TestEngineDeadTailSkipsSweep pins the gap advance's dead-tail licence to
+// engaging on an uninstrumented idle tail — and to changing nothing any
+// result can see. After the t=0 burst drains, nothing is pending; the
+// default engine must match serial's Result (and fan ledger) bit-for-bit
+// while leaving the thermal field where the tail began, so its final
+// ambients differ from serial's, which swept the tail. The cases cover the
+// homogeneous repeated-addition accrual, its exit at migration boundaries
+// (where every socket's lastUpdate must have caught up with the clock), and
+// the per-socket replay under heterogeneous SKUs and under an exhausted
+// fault timeline (a dead socket and a degraded fan bank keep their idle and
+// fan ledgers in the tail).
+func TestEngineDeadTailSkipsSweep(t *testing.T) {
+	cases := map[string]func(*Config){
+		"homogeneous": func(*Config) {},
+		"migration":   func(c *Config) { c.Migration = MigrationConfig{Period: 0.05} },
+		"skus":        func(c *Config) { c.Server = faultedServer() },
+		"faults": func(c *Config) {
+			c.Faults = &fault.Spec{
+				FanCount: 4,
+				Events: []fault.Event{
+					{At: 0.01, Kind: fault.KindSocketDeath, Socket: 100},
+					{At: 0.05, Kind: fault.KindFanDegrade, FlowFactor: 0.8},
+				},
+			}
+		},
+	}
+	for name, edit := range cases {
+		refCfg := deadTailConfig(t, EngineConfig{Mode: EngineSerial}, nil)
+		edit(&refCfg)
+		refSim, err := New(refCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refRes := refSim.Run()
+
+		cfg := deadTailConfig(t, EngineConfig{}, nil)
+		edit(&cfg)
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sim.eng.skipTicks {
+			t.Fatalf("%s: tick skipping not armed on the default engine", name)
+		}
+		res := sim.Run()
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("%s: result diverges from serial\n got %+v\nwant %+v", name, res, refRes)
+		}
+		if got, want := sim.FanEnergyJ(), refSim.FanEnergyJ(); got != want {
+			t.Errorf("%s: fan energy %v, serial %v", name, got, want)
+		}
+		if reflect.DeepEqual(sim.amb, refSim.amb) {
+			t.Errorf("%s: final ambients equal serial's: the dead tail was swept, not skipped", name)
+		}
 	}
 }
 
@@ -198,7 +258,7 @@ func TestEngineStrideFires(t *testing.T) {
 // aggressively short time constants, so every first-order blend converges to
 // its target within tens of ticks and then holds bit-for-bit until the jobs
 // complete. The busy middle of this run is where settled-stride must engage —
-// a window the idle-tail stride can never touch because sockets are busy.
+// a window the dead-tail licence can never cover because sockets are busy.
 func settledConfig(t *testing.T, eng EngineConfig, tel *telemetry.Telemetry) Config {
 	t.Helper()
 	s, err := sched.ByName("CF", 1)
@@ -239,10 +299,7 @@ func TestEngineSettledStrideFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	refRes := refSim.Run()
-	refCounters := refTel.Snapshot(nil).Counters
-	for _, id := range telemetry.EngineCounters() {
-		delete(refCounters, id.Name())
-	}
+	refCounters := withoutEngineCounters(refTel)
 
 	tel := telemetry.New("settled")
 	sim, err := New(settledConfig(t, EngineConfig{}, tel))
@@ -256,10 +313,7 @@ func TestEngineSettledStrideFires(t *testing.T) {
 	if got := tel.Counter(telemetry.CSettledTicks); got == 0 {
 		t.Error("CSettledTicks = 0: no sweep was skipped at the fixed point")
 	}
-	counters := tel.Snapshot(nil).Counters
-	for _, id := range telemetry.EngineCounters() {
-		delete(counters, id.Name())
-	}
+	counters := withoutEngineCounters(tel)
 	if !reflect.DeepEqual(res, refRes) {
 		t.Errorf("settled-stride result diverges from serial\n got %+v\nwant %+v", res, refRes)
 	}
@@ -280,10 +334,7 @@ func TestEngineEventGapFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	refRes := refSim.Run()
-	refCounters := refTel.Snapshot(nil).Counters
-	for _, id := range telemetry.EngineCounters() {
-		delete(refCounters, id.Name())
-	}
+	refCounters := withoutEngineCounters(refTel)
 
 	tel := telemetry.New("event")
 	sim, err := New(settledConfig(t, EngineConfig{Mode: EngineEvent}, tel))
@@ -297,10 +348,7 @@ func TestEngineEventGapFires(t *testing.T) {
 	if got := tel.Counter(telemetry.CEventTicks); got == 0 {
 		t.Error("CEventTicks = 0: the gap advance never engaged")
 	}
-	counters := tel.Snapshot(nil).Counters
-	for _, id := range telemetry.EngineCounters() {
-		delete(counters, id.Name())
-	}
+	counters := withoutEngineCounters(tel)
 	if !reflect.DeepEqual(res, refRes) {
 		t.Errorf("event-engine result diverges from serial\n got %+v\nwant %+v", res, refRes)
 	}
@@ -359,8 +407,8 @@ func TestEngineChecksCrossAudit(t *testing.T) {
 	if !sim.eng.incremental {
 		t.Fatal("default engine did not resolve to the incremental sweep")
 	}
-	if sim.eng.stride {
-		t.Error("stride enabled despite installed checks")
+	if sim.eng.skipTicks {
+		t.Error("tick skipping armed despite installed checks")
 	}
 	if st := h.Stats(); st.Audits == 0 {
 		t.Errorf("harness never audited (ticks=%d)", st.Ticks)
@@ -408,7 +456,7 @@ func TestEngineSerialFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.eng.stride {
-		t.Error("stride enabled despite installed probe")
+	if s.eng.skipTicks {
+		t.Error("tick skipping armed despite installed probe")
 	}
 }

@@ -15,17 +15,40 @@ package sim
 // identity or out of reach before the bound, so the gap ticks skip straight
 // to the settled-tick bookkeeping.
 //
-// This generalizes settled-stride from "idle dead tail at end of run" to
-// "any inter-event gap under a fixed point", including fully-busy plateaus
-// where every socket grinds at a stable frequency.
+// The gap advance holds under two licences: "settled", every lane at its
+// fixed point, which covers any inter-event gap (busy plateaus included);
+// and "unobservable", a dead tail (deadTail) whose thermal field nothing
+// reads before the run ends, so its ticks skip the sweep altogether.
 
-import "densim/internal/units"
+import (
+	"math"
+
+	"densim/internal/units"
+)
+
+// deadTail reports the gap advance's second licence. Only Run and Finish
+// qualify (until == neverDone), so the state RunTo leaves and Snapshot
+// captures is always the tick-by-tick state. No Probe, Checks or telemetry
+// (which samples every lane's ambient rise) may be installed. Nothing may be
+// busy, queued, arriving or pending in the fault timeline, so every socket
+// draws its constant idle power up to the horizon. Unlike allSettled it
+// needs no laneSettled, so it also holds over a custom ThermalChain.
+func (s *Simulator) deadTail(until units.Seconds) bool {
+	return until == neverDone &&
+		s.busyCount == 0 &&
+		s.eng.skipTicks &&
+		s.tel == nil &&
+		s.queue.Len() == 0 &&
+		math.IsInf(float64(s.nextArrivalTime()), 1) &&
+		(s.flt == nil || s.flt.idle())
+}
 
 // eventGapAdvance advances the clock tick by tick while the next indexed
-// event lies beyond the tick boundary and every lane is settled. It returns
-// advanced=true if at least one tick was executed (the caller re-enters the
-// loop top so fault application and stride checks re-run), and done=true if
-// the run terminated inside the gap (finished or drain limit).
+// event lies beyond the tick boundary and every lane is settled or the run
+// is in a dead tail. It returns advanced=true if at least one tick was
+// executed (the caller re-enters the loop top so fault application re-runs),
+// and done=true if the run terminated inside the gap (finished or drain
+// limit).
 //
 // Bit-exactness argument, per tick executed:
 //   - processEventsUntil(tickEnd) is skipped only when min(arrival,
@@ -36,56 +59,76 @@ import "densim/internal/units"
 //     re-derives doneAt from accrued work and the last bit can drift.
 //   - advanceAllTo / s.now / accrueFanEnergy run verbatim, in loop-body
 //     order, so every float accumulation is the one the full loop performs.
-//   - powerManagerTick runs verbatim too; with all lanes settled it takes
-//     the same all-settled skip branch the normal loop would, including its
-//     telemetry (OnSettledTick, OnTick, OnLaneSkips, the sampled lane-rise
-//     scan and Flush cadence via telTicks). Nothing in a gap tick writes
-//     power or toggles busy state, so the fixed point survives the tick.
+//     In a dead tail on a homogeneous, fault-free server every socket adds
+//     the same idle energy, so OnEnergyRepeat runs that chain of additions
+//     and lastUpdate catches up once, on exit.
+//   - Settled: powerManagerTick runs verbatim and takes the all-settled
+//     skip branch the normal loop would, telemetry included (OnSettledTick,
+//     OnTick, OnLaneSkips, the lane-rise scan and Flush cadence). Nothing in
+//     a gap tick writes power or toggles busy state, so the fixed point
+//     survives the tick.
+//   - Dead tail: powerManagerTick is skipped. Idle draw does not depend on
+//     thermal state, so no power or energy addition changes, and nothing
+//     installed reads that state before the run ends.
 //   - A migration boundary (now >= nextMigration after the tick) or a fault
 //     step falling due (nextStepTime <= now at the tick's start, matching
 //     the loop-top applyFaults condition) breaks back to the full loop
 //     before the tick that would observe it; an inlet ramp in flight
 //     disengages the gap entirely since applyFaults mutates state per tick.
-//   - The Probe and Checks hooks are nil whenever settled tracking is
-//     armed (resolveEngine disarms it under either), so no per-tick
-//     observer is skipped.
+//   - The Probe and Checks hooks are nil under either licence
+//     (resolveEngine disarms skipTicks under either).
 func (s *Simulator) eventGapAdvance(until, tick, hardStop units.Seconds) (advanced, done bool) {
-	if !s.eng.allSettled() {
+	tail := s.deadTail(until)
+	if !tail && !s.eng.allSettled() {
 		return false, false
 	}
+	repeat := tail && !s.hetero && s.flt == nil
+	warmup := s.cfg.Warmup
 	arrT := s.nextArrivalTime()
 	mig := s.cfg.Migration.Period > 0
-	for {
-		if s.now >= until {
-			return advanced, false
-		}
-		if s.flt != nil && (s.flt.rampActive || s.flt.nextStepTime() <= s.now) {
-			return advanced, false
+	for !done {
+		if s.now >= until || s.flt != nil && (s.flt.rampActive || s.flt.nextStepTime() <= s.now) {
+			break
 		}
 		tickEnd := s.now + tick
 		next := arrT
 		if compT, _ := s.comp.min(); compT < next {
 			next = compT
 		}
-		if next < tickEnd {
-			return advanced, false
-		}
-		if mig && tickEnd >= s.nextMigration {
-			return advanced, false
+		if next < tickEnd || mig && tickEnd >= s.nextMigration {
+			break
 		}
 		tickStart := s.now
-		s.advanceAllTo(tickEnd)
+		if repeat {
+			// advanceAllTo's idle accrual with lastUpdate == tickStart on
+			// every socket: one identical addition per socket.
+			if tickEnd > warmup {
+				seg := tickEnd - tickStart
+				if tickStart < warmup {
+					seg = tickEnd - warmup
+				}
+				s.col.OnEnergyRepeat(units.Joules(float64(s.gatedPow[0])*float64(seg)), len(s.sockets))
+			}
+		} else {
+			s.advanceAllTo(tickEnd)
+		}
 		s.now = tickEnd
 		if s.flt != nil {
 			s.accrueFanEnergy(tickStart, tickEnd)
 		}
-		s.powerManagerTick(tick)
-		if s.tel != nil {
-			s.tel.OnEventTick()
+		if !tail {
+			s.powerManagerTick(tick)
+			if s.tel != nil {
+				s.tel.OnEventTick()
+			}
 		}
 		advanced = true
-		if s.finished() || s.now >= hardStop {
-			return true, true
+		done = s.finished() || s.now >= hardStop
+	}
+	if repeat && advanced {
+		for i := range s.sockets {
+			s.sockets[i].lastUpdate = s.now
 		}
 	}
+	return advanced, done
 }

@@ -56,7 +56,7 @@ type faultState struct {
 }
 
 // idle reports that the timeline is exhausted and no transient is in flight —
-// the condition under which the settled-stride fast paths are safe again.
+// one condition of the gap advance's dead-tail licence (deadTail).
 func (f *faultState) idle() bool {
 	return f.cursor >= len(f.steps) && !f.rampActive
 }

@@ -82,8 +82,10 @@ type faultOutcome struct {
 }
 
 // runFaultVariant executes one scheduler/engine combination of the faulted
-// matrix; with fork set the run is snapshotted mid-timeline and restored.
-func runFaultVariant(t *testing.T, schedName string, eng EngineConfig, fork bool) (faultOutcome, map[string]int64) {
+// matrix; with fork set the run is snapshotted mid-timeline and restored. It
+// returns the outcome, the counters minus the engine-only ones, and the
+// per-lane maximum ambient rise.
+func runFaultVariant(t *testing.T, schedName string, eng EngineConfig, fork bool) (faultOutcome, map[string]int64, []float64) {
 	t.Helper()
 	tel := telemetry.New(schedName)
 	s, err := New(faultConfig(t, schedName, eng, tel))
@@ -107,30 +109,27 @@ func runFaultVariant(t *testing.T, schedName string, eng EngineConfig, fork bool
 	} else {
 		res = s.Run()
 	}
-	counters := tel.Snapshot(nil).Counters
-	for _, id := range telemetry.EngineCounters() {
-		delete(counters, id.Name())
-	}
 	return faultOutcome{
 		res:        res,
 		fanEnergy:  s.FanEnergyJ(),
 		requeues:   s.Requeues(),
 		dead:       s.DeadSockets(),
 		flowFactor: s.FlowFactor(),
-	}, counters
+	}, withoutEngineCounters(tel), tel.LaneRiseMax()
 }
 
 // TestFaultEngineEquivalenceMatrix extends the bit-exactness contract to
 // chaos: the full fault timeline plus heterogeneous SKUs, run through every
 // engine variant (including a snapshot fork taken mid-timeline), must
 // reproduce the serial reference exactly — results, fault side ledgers, and
-// telemetry counters (which now include fault_events and requeues).
+// telemetry counters (which now include fault_events and requeues) and
+// lane-rise maxima.
 func TestFaultEngineEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faulted matrix is slow under -race; skipped in -short")
 	}
 	for _, schedName := range []string{"CP", "CF"} {
-		refOut, refCounters := runFaultVariant(t, schedName, engineVariants[0].cfg, false)
+		refOut, refCounters, refRise := runFaultVariant(t, schedName, engineVariants[0].cfg, false)
 		if refOut.dead != 1 {
 			t.Fatalf("%s/serial: dead sockets = %d, want 1", schedName, refOut.dead)
 		}
@@ -141,7 +140,7 @@ func TestFaultEngineEquivalenceMatrix(t *testing.T) {
 			t.Fatalf("%s/serial: fan energy ledger empty", schedName)
 		}
 		for _, v := range engineVariants[1:] {
-			out, counters := runFaultVariant(t, schedName, v.cfg, v.fork)
+			out, counters, rise := runFaultVariant(t, schedName, v.cfg, v.fork)
 			if !reflect.DeepEqual(out, refOut) {
 				t.Errorf("%s/%s: faulted outcome diverges from serial\n got %+v\nwant %+v",
 					schedName, v.name, out, refOut)
@@ -149,6 +148,10 @@ func TestFaultEngineEquivalenceMatrix(t *testing.T) {
 			if !reflect.DeepEqual(counters, refCounters) {
 				t.Errorf("%s/%s: counters diverge from serial\n got %v\nwant %v",
 					schedName, v.name, counters, refCounters)
+			}
+			if !reflect.DeepEqual(rise, refRise) {
+				t.Errorf("%s/%s: lane rise maxima diverge from serial\n got %v\nwant %v",
+					schedName, v.name, rise, refRise)
 			}
 		}
 	}

@@ -650,9 +650,9 @@ func (s *Simulator) Run() metrics.Result {
 
 // RunTo advances the simulation tick by tick until the clock reaches t (the
 // first tick boundary at or past it), the run finishes, or the drain limit
-// is hit. Unlike Run it never fast-forwards a dead tail past t, so the state
-// at return is exactly the tick-by-tick state — the boundary Snapshot
-// captures. Continue with further RunTo calls or complete with Finish; the
+// is hit. Unlike Run it never takes the gap advance's dead-tail licence,
+// which leaves the thermal field where the last sweep put it, so the state at
+// return is exactly the tick-by-tick state — the boundary Snapshot captures. Continue with further RunTo calls or complete with Finish; the
 // split is bit-exact: RunTo(t) followed by Finish produces the same result,
 // metrics, and telemetry event stream as a single Run.
 func (s *Simulator) RunTo(t units.Seconds) {
@@ -678,18 +678,11 @@ func (s *Simulator) runLoop(until units.Seconds) {
 		if s.flt != nil {
 			s.applyFaults()
 		}
-		if until == neverDone && s.canStride() {
-			// Dead tail: nothing can happen before the horizon, and the run
-			// ends at the horizon. Fast-forward and finish.
-			s.strideIdleTail(tick, hardStop)
-			s.ended = true
-			break
-		}
-		// Unified event queue: while every lane holds its fixed point, march
-		// straight through the gap to the next indexed event (a no-op unless
-		// the event engine armed settled tracking). On any advance, re-enter
-		// the loop top so fault application and the stride check see the new
-		// clock.
+		// Unified event queue: while every lane holds its fixed point, or the
+		// run is in a dead tail nothing observes, march straight through the
+		// gap to the next indexed event (a no-op unless the event engine
+		// armed tick skipping). On any advance, re-enter the loop top so
+		// fault application sees the new clock.
 		advanced, done := s.eventGapAdvance(until, tick, hardStop)
 		if done {
 			s.ended = true

@@ -75,14 +75,6 @@ func (t *Telemetry) NewLocal(lanes int, inlet units.Celsius) *Local {
 // OnTick records one power-manager tick.
 func (l *Local) OnTick() { l.counters[CTicks]++ }
 
-// OnStride records n ticks fast-forwarded in one event-horizon stride. The
-// ticks land in CTicks too, so tick counts stay comparable across engines;
-// CStrideTicks tells how many of them were strided.
-func (l *Local) OnStride(n int64) {
-	l.counters[CTicks] += n
-	l.counters[CStrideTicks] += n
-}
-
 // OnLaneSkips records n airflow channels whose ambient recompute the
 // dirty-lane engine skipped this tick.
 func (l *Local) OnLaneSkips(n int64) { l.counters[CLaneSkips] += n }

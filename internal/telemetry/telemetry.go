@@ -53,9 +53,8 @@ const (
 	// CThrottleUp counts DVFS re-picks that raised a busy socket's P-state
 	// (thermal headroom recovered).
 	CThrottleUp
-	// CStrideTicks counts power-manager ticks the engine fast-forwarded
-	// through in event-horizon strides (each is also counted in CTicks, so
-	// CTicks stays comparable across engines).
+	// CStrideTicks counted the ticks of the removed dead-tail stride.
+	// Nothing feeds it any more; it stays, always zero, like CWorkerShards.
 	CStrideTicks
 	// CLaneSkips counts airflow channels whose ambient recompute the
 	// dirty-lane engine skipped because the channel's powers were unchanged.
@@ -66,7 +65,7 @@ const (
 	CWorkerShards
 	// CSettledTicks counts power-manager ticks whose thermal/DVFS sweep the
 	// engine skipped because every lane was at a bit-exact fixed point (each
-	// is also counted in CTicks, like strided ticks).
+	// is also counted in CTicks).
 	CSettledTicks
 	// CFaultEvents counts fault-timeline steps applied (fan events, inlet
 	// ramps, socket deaths, throttle windows opening and closing).

@@ -23,7 +23,12 @@
 #       to the incremental sweep and its gap machinery must cost nothing
 #       measurable; the 10% band only absorbs the shared runner's noise.
 #       Catches engine regressions that the bit-equivalence tests cannot
-#       (they check answers, not wall clock).
+#       (they check answers, not wall clock). It then runs the idle SUT
+#       second the same two ways (-benchtime 20x) and fails if the default
+#       engine's median exceeds 0.25x serial's: that run is one dead tail,
+#       which the gap advance's dead-tail licence skips at about 0.05x
+#       serial on a 2-vCPU Xeon. A licence that stops engaging still gives
+#       the right answers, 20x slower; this gate is what notices.
 #
 #   scripts/bench.sh fleetgate
 #       CI gate for the cost of epoch windows: run the 16-chassis fleet
@@ -96,6 +101,21 @@ smoke)
 	# Fail when event > 1.10 x serial (integer math: 10*e > 11*s).
 	if [ $((10 * event)) -gt $((11 * serial)) ]; then
 		echo "bench smoke: event engine >10% slower than serial" >&2
+		exit 1
+	fi
+	out="$(go test -run XXX -bench 'BenchmarkSimSecondIdle(Serial)?$' \
+		-benchtime 20x -count 3 ./internal/sim/)"
+	echo "$out"
+	serial="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondIdleSerial" {print $2}')"
+	event="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondIdle" {print $2}')"
+	if [ -z "$serial" ] || [ -z "$event" ]; then
+		echo "bench smoke: missing idle serial/event medians" >&2
+		exit 1
+	fi
+	echo "idle serial median ${serial} ns/op, idle event median ${event} ns/op"
+	# Fail when event > 0.25 x serial (integer math: 4*e > s).
+	if [ $((4 * event)) -gt "$serial" ]; then
+		echo "bench smoke: idle run >0.25x serial: the dead-tail licence did not engage" >&2
 		exit 1
 	fi
 	;;
