@@ -48,7 +48,7 @@ type Collector struct {
 	sojournExp stats.Welford // (done-arrival)/nominal per job
 	serviceExp stats.Welford // (done-started)/nominal per job
 	waitSec    stats.Welford // (started-arrival) per job, seconds
-	totalWork  float64 // seconds of FMax-equivalent work completed
+	totalWork  float64       // seconds of FMax-equivalent work completed
 	regionWork [numRegions]float64
 	// Per-zone accumulators are dense slices indexed by zone number (zones
 	// are small ints), with presence bits distinguishing "zone never seen"

@@ -17,6 +17,10 @@ package sim
 //     exact same ambients — the engine skips it (ε = 0: the skip criterion
 //     is value equality, not a tolerance). All power writes funnel through
 //     Simulator.setPower, which marks the owning channel dirty on change.
+//     Channel c is laneIdx value c and owns the contiguous socket ID range
+//     [c*Depth, (c+1)*Depth): airflow.New enumerates channels row-major
+//     and geometry.New numbers sockets the same way (TestChannelLayout
+//     pins both), so the channel-order sweep is the serial ascending-ID sweep.
 //
 //     Settled lanes and the unified event queue. A channel whose last sweep
 //     was a bit-exact identity is settled; while every channel is settled
@@ -30,6 +34,10 @@ package sim
 //     the end of the run. Idle draw does not depend on the thermal state,
 //     so only the idle-energy accrual is replayed and the sweep is skipped.
 //
+// The event engine arms tick skipping (the settled skip and both licences)
+// unless a Probe or the invariant harness observes every tick, so a run
+// resolves to serial, or event with or without tick skipping.
+//
 // Parallelism lives above a run, not inside it: experiments.Runner runs
 // sweep cells and seeds concurrently, and the fleet pool shards chassis.
 // Neither needs a per-tick barrier.
@@ -37,7 +45,6 @@ package sim
 import (
 	"fmt"
 
-	"densim/internal/airflow"
 	"densim/internal/chipmodel"
 	"densim/internal/geometry"
 	"densim/internal/units"
@@ -59,14 +66,11 @@ const (
 // event engine. Both engines produce bit-identical results; the choice
 // trades speed for a reference to check against, never accuracy.
 type EngineConfig struct {
-	// Mode is "" or "event" (the default), or "serial". The event engine
-	// falls back to the serial sweep when the thermal chain is not the
-	// airflow advection network (channel independence is what makes the
-	// incremental sweep exact). A Probe or the invariant harness observes
-	// every tick, so either one disables its tick skipping. Installed
-	// telemetry samples the thermal field, so it disables only the
-	// dead-tail licence: an instrumented run sweeps its dead tail until the
-	// lanes settle.
+	// Mode is "" or "event" (the default), or "serial". A Probe or the
+	// invariant harness observes every tick, so either one disables the
+	// event engine's tick skipping. Installed telemetry samples the thermal
+	// field, so it disables only the dead-tail licence: an instrumented run
+	// sweeps its dead tail until the lanes settle.
 	Mode string
 }
 
@@ -81,41 +85,32 @@ func (e EngineConfig) Validate() error {
 
 // engineState is the resolved engine for one run.
 type engineState struct {
-	// incremental selects the dirty-lane sweep; false is the pristine
-	// serial path.
+	// incremental selects the dirty-lane sweep and the pick cache; false
+	// is the pristine serial path.
 	incremental bool
-	// skipTicks arms tick skipping: no Probe or Checks observes individual
-	// ticks. It licenses the gap advance over a dead tail (deadTail), and
-	// with incremental it also arms laneSettled, the fixed-point proof
+	// skipTicks arms tick skipping: the event engine with no Probe or
+	// Checks observing individual ticks. It licenses the gap advance over a
+	// dead tail (deadTail) and arms laneSettled, the fixed-point proof
 	// behind the all-settled skip and the gap advance over settled lanes.
 	skipTicks bool
 
-	// afm is the airflow model's channel view (set when incremental).
-	afm     *airflow.Model
-	numChan int
-	// depth is the per-channel socket count: channel c owns the contiguous
-	// ID range [c*depth, (c+1)*depth) (resolveEngine verifies the layout),
-	// which lets the sweep walk the structure-of-arrays state linearly.
-	depth int
-	// chanIdx maps socket ID -> channel index.
-	chanIdx []int32
 	// dirty[ch] records that channel ch's powers changed since its last
-	// ambient recompute. Nil unless incremental.
+	// ambient recompute; it has one entry per airflow channel. Nil unless
+	// incremental.
 	dirty []bool
 	// laneSettled[ch] records that channel ch's last sweep was a bit-exact
 	// identity (clean channel, no socket field changed). While every lane is
 	// settled the whole sweep is a no-op and the engine skips it outright.
-	// Nil unless skipTicks and incremental; cleared by every power write and
-	// busy transition touching the channel.
+	// Nil unless skipTicks; cleared by every power write and busy
+	// transition touching the channel.
 	laneSettled []bool
 
-	// Pick cache, enabled only for the default TableDVFS power manager: a
-	// busy socket's pick is a pure function of (benchmark, ambient bits,
-	// boost cap), so while those are unchanged the cached frequency is
-	// exact. Entries are valid only while the socket continuously runs the
-	// same job — completions and migration sources invalidate, so a
-	// recycled *Job allocation can never alias a stale entry.
-	useDVFS   bool
+	// Pick cache (nil unless incremental): a busy socket's pick is a pure
+	// function of (benchmark, ambient bits, boost cap), so while those are
+	// unchanged the cached frequency is exact. Entries are valid only while
+	// the socket continuously runs the same job — completions and migration
+	// sources invalidate, so a recycled *Job allocation can never alias a
+	// stale entry.
 	pickBench []*workload.Benchmark
 	pickAmb   []units.Celsius
 	pickCap   []units.MHz
@@ -137,63 +132,31 @@ type engineState struct {
 }
 
 // resolveEngine turns the configured EngineConfig into the run's engine
-// state. Called from New after the thermal and power seams are resolved.
+// state. Called from New once the airflow model and laneIdx exist.
 func (s *Simulator) resolveEngine() {
 	e := &s.eng
-	serial := s.cfg.Engine.Mode == EngineSerial
-
-	// The incremental sweep is exact only over the advection network's
-	// independent channels; any other thermal chain runs serial.
-	afm, haveChannels := s.thermal.(*airflow.Model)
-	if haveChannels {
-		// The sweep also assumes the channel-major socket ID layout (channel
-		// c covers IDs [c*Depth, (c+1)*Depth)), which makes channel-order
-		// iteration identical to the serial ascending-ID sweep. Every
-		// geometry.New topology satisfies it; verify rather than assume.
-		for c := 0; c < afm.NumChannels() && haveChannels; c++ {
-			for p, id := range afm.Channel(c) {
-				if int(id) != c*len(afm.Channel(c))+p {
-					haveChannels = false
-					break
-				}
-			}
-		}
-	}
-
-	e.incremental = !serial && haveChannels
-	if e.incremental {
-		e.afm = afm
-		e.numChan = afm.NumChannels()
-		e.depth = len(afm.Channel(0))
-		e.chanIdx = make([]int32, len(s.sockets))
-		for c := 0; c < e.numChan; c++ {
-			for _, id := range afm.Channel(c) {
-				e.chanIdx[id] = int32(c)
-			}
-		}
-		e.dirty = make([]bool, e.numChan)
-		for c := range e.dirty {
-			e.dirty[c] = true // ambBuf holds nothing yet
-		}
-		if _, ok := s.power.(TableDVFS); ok {
-			e.useDVFS = true
-			n := len(s.sockets)
-			e.pickBench = make([]*workload.Benchmark, n)
-			e.pickAmb = make([]units.Celsius, n)
-			e.pickCap = make([]units.MHz, n)
-			e.pickIdx = make([]int8, n)
-			e.pickFreq = make([]units.MHz, n)
-			e.admiss = chipmodel.NewAdmissCache(n)
-			e.shared = !s.hetero
-		}
-	}
-
+	e.incremental = s.cfg.Engine.Mode != EngineSerial
 	// A Probe and the invariant harness observe every tick; skipping ticks
 	// would hide them, so their presence disables it outright.
-	e.skipTicks = !serial && s.cfg.Probe == nil && s.cfg.Checks == nil
-	if e.skipTicks && e.incremental {
-		e.laneSettled = make([]bool, e.numChan)
+	e.skipTicks = e.incremental && s.cfg.Probe == nil && s.cfg.Checks == nil
+	if !e.incremental {
+		return
 	}
+	e.dirty = make([]bool, s.af.NumChannels())
+	for c := range e.dirty {
+		e.dirty[c] = true // ambBuf holds nothing yet
+	}
+	if e.skipTicks {
+		e.laneSettled = make([]bool, len(e.dirty))
+	}
+	n := len(s.sockets)
+	e.pickBench = make([]*workload.Benchmark, n)
+	e.pickAmb = make([]units.Celsius, n)
+	e.pickCap = make([]units.MHz, n)
+	e.pickIdx = make([]int8, n)
+	e.pickFreq = make([]units.MHz, n)
+	e.admiss = chipmodel.NewAdmissCache(n)
+	e.shared = !s.hetero
 }
 
 // allSettled reports that the previous sweep was an identity on every lane:
@@ -213,9 +176,9 @@ func (e *engineState) allSettled() bool {
 
 // unsettle clears socket i's lane settled flag. Called from every event-path
 // write that changes the sweep's inputs (power writes, busy transitions).
-func (e *engineState) unsettle(i int) {
-	if e.laneSettled != nil {
-		e.laneSettled[e.chanIdx[i]] = false
+func (s *Simulator) unsettle(i int) {
+	if ls := s.eng.laneSettled; ls != nil {
+		ls[s.laneIdx[i]] = false
 	}
 }
 
@@ -228,20 +191,20 @@ func (e *engineState) invalidatePick(i int) {
 	}
 }
 
-// pickFrequency is the engine's frequency dispatcher: the pristine seam
-// call in serial mode, the cached/warm-started TableDVFS path otherwise.
-// Both return the exact frequency TableDVFS.PickFrequency would.
+// pickFrequency is the engine's frequency dispatcher: the reference pick in
+// serial mode, the cached/warm-started path otherwise. Both return the exact
+// frequency pickFrequencyIndexed does.
 func (s *Simulator) pickFrequency(id geometry.SocketID) units.MHz {
-	if !s.eng.useDVFS {
+	if !s.eng.incremental {
 		return s.pickFrequencyIndexed(id)
 	}
 	return s.enginePick(int(id))
 }
 
-// enginePick returns TableDVFS.PickFrequency(ambient, benchmark, sink,
-// cap) through two exact shortcuts: a full-input cache hit returns the
-// stored frequency (pure function of the key), and a miss warm-starts the
-// monotone ladder search from the previous pick's index
+// enginePick returns pickFrequencyIndexed's Table III pick through two
+// exact shortcuts: a full-input cache hit returns the stored frequency
+// (pure function of the key), and a miss warm-starts the monotone ladder
+// search from the previous pick's index
 // (chipmodel.HighestAdmissibleFrom returns exactly what the cold search
 // would).
 func (s *Simulator) enginePick(i int) units.MHz {
@@ -323,11 +286,11 @@ func (s *Simulator) tickChannels() (skipped int64) {
 	amb, chip, hist := s.amb, s.chip, s.hist
 	util, pewma, freqs := s.util, s.pewma, s.freq
 	powers, caps, jobs := s.powers, s.caps, s.jobs
-	depth := e.depth
-	for ch := 0; ch < e.numChan; ch++ {
+	depth := s.srv.Depth
+	for ch := range e.dirty {
 		settled := track && !e.dirty[ch]
 		if e.dirty[ch] {
-			e.afm.AmbientChannelInto(ch, s.powers, ambients)
+			s.af.AmbientChannelInto(ch, s.powers, ambients)
 			e.dirty[ch] = false
 		} else {
 			skipped++
@@ -400,7 +363,7 @@ func (s *Simulator) powerManagerTickIncremental(dt units.Seconds) {
 		// blends, picks, power writes — would reproduce the current state
 		// bit-for-bit, so skip it. Every channel counts as skipped, matching
 		// what the dirty gate would have reported.
-		skipped = int64(e.numChan)
+		skipped = int64(len(e.dirty))
 		if s.tel != nil {
 			s.tel.OnSettledTick()
 		}

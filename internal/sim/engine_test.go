@@ -436,25 +436,18 @@ func TestEngineConfigValidate(t *testing.T) {
 	}
 }
 
-// TestEngineSerialFallbacks pins the resolution rules that keep exotic
-// configurations on the safe path: a custom thermal chain cannot use the
-// incremental sweep, and a probe or harness disables striding.
-func TestEngineSerialFallbacks(t *testing.T) {
+// TestEngineProbeDisarmsTickSkipping pins the resolution rule that keeps an
+// observed run on the tick-by-tick path: a Probe sees every tick, so the
+// event engine keeps its incremental sweep but arms no tick skipping.
+func TestEngineProbeDisarmsTickSkipping(t *testing.T) {
 	cfg := smallConfig("CF", 0.5, workload.Computation)
-	cfg.Thermal = constantChain{inlet: 25}
+	cfg.Probe = func(*Simulator, units.Seconds) {}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.eng.incremental {
-		t.Error("incremental engine engaged over a non-airflow thermal chain")
-	}
-
-	cfg = smallConfig("CF", 0.5, workload.Computation)
-	cfg.Probe = func(*Simulator, units.Seconds) {}
-	s, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if !s.eng.incremental {
+		t.Error("event engine did not resolve to the incremental sweep")
 	}
 	if s.eng.skipTicks {
 		t.Error("tick skipping armed despite installed probe")

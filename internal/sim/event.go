@@ -31,8 +31,7 @@ import (
 // captures is always the tick-by-tick state. No Probe, Checks or telemetry
 // (which samples every lane's ambient rise) may be installed. Nothing may be
 // busy, queued, arriving or pending in the fault timeline, so every socket
-// draws its constant idle power up to the horizon. Unlike allSettled it
-// needs no laneSettled, so it also holds over a custom ThermalChain.
+// draws its constant idle power up to the horizon.
 func (s *Simulator) deadTail(until units.Seconds) bool {
 	return until == neverDone &&
 		s.busyCount == 0 &&

@@ -159,13 +159,13 @@ func (s *Simulator) applyFaults() {
 			if !f.capped[st.Socket] {
 				f.capped[st.Socket] = true
 				s.caps[st.Socket] = s.capFor(st.Socket, s.util[st.Socket])
-				s.eng.unsettle(st.Socket)
+				s.unsettle(st.Socket)
 			}
 		case fault.KindThrottleEnd:
 			if f.capped[st.Socket] {
 				f.capped[st.Socket] = false
 				s.caps[st.Socket] = s.capFor(st.Socket, s.util[st.Socket])
-				s.eng.unsettle(st.Socket)
+				s.unsettle(st.Socket)
 			}
 		}
 	}
@@ -244,10 +244,6 @@ func (s *Simulator) applyFlowPhysics() {
 		panic(fmt.Sprintf("sim: fault airflow rebuild: %v", err))
 	}
 	s.af = af
-	s.thermal = af
-	if s.eng.afm != nil {
-		s.eng.afm = af
-	}
 	s.allDirty()
 }
 
@@ -277,7 +273,7 @@ func (s *Simulator) killSocket(i int) {
 		s.jobs[i] = nil
 		s.freq[i] = 0
 		s.busyCount--
-		s.eng.unsettle(i)
+		s.unsettle(i)
 		s.eng.invalidatePick(i)
 		s.setDoneAt(i, neverDone)
 		f.requeues++

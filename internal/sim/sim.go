@@ -27,6 +27,11 @@
 //     network's steady state with the 30 s socket time constant, and the
 //     chip approaches the Equation-1 peak temperature for that ambient with
 //     the 5 ms chip time constant.
+//
+// The thermal substrate is always the airflow network built from
+// Config.Server and Config.Airflow, and the power policy is always Table
+// III's. A run varies through its scheduler, its job source (the Poisson
+// generator or a recorded trace), its fault timeline and its constants.
 package sim
 
 import (
@@ -61,7 +66,7 @@ type Config struct {
 	Load float64
 	// Source optionally feeds a custom job stream (e.g. a recorded trace)
 	// instead of the Mix/Load Poisson generator.
-	Source WorkloadSource
+	Source job.Source
 	// Seed makes the run reproducible.
 	Seed uint64
 	// Duration is the arrival horizon: jobs arrive in [0, Duration) and the
@@ -89,17 +94,11 @@ type Config struct {
 	// ladder tops out at the sustained 1500 MHz (the conservative-governor
 	// ablation).
 	DisableBoost bool
-	// BoostWindow, BoostTier1Util and BoostTier2Util implement the BKDG
-	// boost budget the paper cites [36]: boost states are opportunistic,
-	// replenished by idle residency. A socket whose recent utilization
-	// (EWMA over BoostWindow) is at most BoostTier1Util may use the full
-	// 1900 MHz boost; up to BoostTier2Util it may use 1700 MHz; beyond
-	// that it is capped at the sustained 1500 MHz — "a fully loaded socket
-	// is expected to only be able to sustain the highest non-boosted
-	// frequency". Defaults: 2 s window, tiers at 0.85 and 0.95.
-	BoostWindow    units.Seconds
-	BoostTier1Util float64
-	BoostTier2Util float64
+	// BoostWindow is the averaging window of the BKDG boost budget the
+	// paper cites [36] (default 2 s): boost states are opportunistic,
+	// replenished by idle residency, and the tiers (boostTier1Util,
+	// boostTier2Util) apply to the utilization EWMA over this window.
+	BoostWindow units.Seconds
 	// Migration optionally re-evaluates running jobs periodically and moves
 	// throttled long jobs to faster sockets (see migration.go).
 	Migration MigrationConfig
@@ -123,22 +122,11 @@ type Config struct {
 	// disables instrumentation at zero cost (one pointer test per hook
 	// site, no allocations).
 	Telemetry *telemetry.Telemetry
-	// Thermal overrides the thermal chain the tick loop reads ambient
-	// temperatures from. Nil uses the airflow advection network built from
-	// Server and Airflow. Schedulers still see that network through
-	// sched.State.Airflow regardless (it carries the coupling map the CP
-	// and MinHR policies need), so a custom chain changes the physics the
-	// power manager reacts to, not the schedulers' offline model.
-	Thermal ThermalChain
-	// Power overrides the per-socket power policy (DVFS pick + idle gating).
-	// Nil uses the Table III TableDVFS policy.
-	Power PowerManager
 	// Faults optionally injects a deterministic fault timeline — fan
 	// degradation and failure, inlet transients, socket death with job
 	// requeue, forced emergency throttles (see internal/fault). Steps apply
-	// at the first tick boundary at or past their timestamp. Fault injection
-	// requires the default airflow thermal chain: fan faults rescale its
-	// per-lane flow, which an opaque custom chain cannot express.
+	// at the first tick boundary at or past their timestamp; fan and inlet
+	// faults rebuild the airflow network at the new flow and inlet.
 	Faults *fault.Spec
 	// Engine selects how the tick loop executes: the event engine (the
 	// zero value) or the serial reference — see engine.go. Both produce
@@ -182,9 +170,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Faults != nil {
-		if c.Thermal != nil {
-			return fmt.Errorf("sim: fault injection requires the default airflow thermal chain (Config.Thermal must be nil)")
-		}
 		// Socket bounds are re-validated in New once the topology has
 		// defaulted; -1 skips them when Server is still nil here.
 		n := -1
@@ -230,18 +215,22 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BoostWindow <= 0 {
 		c.BoostWindow = 2
 	}
-	if c.BoostTier1Util <= 0 {
-		c.BoostTier1Util = 0.85
-	}
-	if c.BoostTier2Util <= 0 {
-		c.BoostTier2Util = 0.95
-	}
 	if c.ChipTau <= 0 {
 		c.ChipTau = chipmodel.ChipTimeConstant
 	}
 	c.Migration = c.Migration.withDefaults()
 	return c, nil
 }
+
+// The boost budget's utilization tiers: a socket whose utilization EWMA
+// (over Config.BoostWindow) is at most boostTier1Util may use the full
+// 1900 MHz boost; up to boostTier2Util it may use 1700 MHz; beyond that it
+// is capped at the sustained 1500 MHz — "a fully loaded socket is expected
+// to only be able to sustain the highest non-boosted frequency".
+const (
+	boostTier1Util = 0.85
+	boostTier2Util = 0.95
+)
 
 // neverDone is the cached completion instant of a socket with no job.
 var neverDone = units.Seconds(math.Inf(1))
@@ -291,13 +280,10 @@ func (s *Simulator) recomputeDoneAt(i int) units.Seconds {
 type Simulator struct {
 	cfg Config
 	srv *geometry.Server
-	// af is the airflow advection network the schedulers read through
-	// sched.State.Airflow; thermal is the chain the tick loop integrates
-	// against (the same model unless Config.Thermal overrides it).
-	af      *airflow.Model
-	thermal ThermalChain
-	// power is the per-socket power policy (Config.Power or TableDVFS).
-	power PowerManager
+	// af is the airflow advection network: the tick loop integrates against
+	// it and the schedulers read it through sched.State.Airflow. Fan and
+	// inlet faults replace it with a rebuilt model (applyFlowPhysics).
+	af *airflow.Model
 	// leakAt, gatedPow and fmaxAt are the per-socket power constants: the
 	// leakage model and power-gated idle draw for the socket's TDP, and the
 	// SKU frequency ceiling (fmaxAt is nil on a homogeneous server; hetero
@@ -367,9 +353,11 @@ type Simulator struct {
 	// checks is the optional invariant harness (nil = disabled).
 	checks *check.Checks
 	// tel is the optional observability layer (nil = disabled). laneIdx
-	// maps each socket to its airflow channel (row-major) — shared by the
-	// telemetry lane scan and the lane-epoch bookkeeping below — and inletC
-	// caches the inlet for the per-lane ambient-rise extrema.
+	// maps each socket to its airflow channel (row-major, the order
+	// airflow.New enumerates channels in) — shared by the telemetry lane
+	// scan, the lane-epoch bookkeeping below and the engine's dirty and
+	// settled flags — and inletC caches the inlet for the per-lane
+	// ambient-rise extrema.
 	tel      *telemetry.Local
 	laneIdx  []int32
 	inletC   float64
@@ -417,8 +405,6 @@ func New(cfg Config) (*Simulator, error) {
 		cfg:     cfg,
 		srv:     cfg.Server,
 		af:      af,
-		thermal: cfg.Thermal,
-		power:   cfg.Power,
 		sockets: make([]socketState, cfg.Server.NumSockets()),
 		amb:     make([]units.Celsius, cfg.Server.NumSockets()),
 		chip:    make([]units.Celsius, cfg.Server.NumSockets()),
@@ -436,12 +422,6 @@ func New(cfg Config) (*Simulator, error) {
 	for i := range s.idleSet {
 		s.idleSet[i] = geometry.SocketID(i)
 	}
-	if s.thermal == nil {
-		s.thermal = af
-	}
-	if s.power == nil {
-		s.power = TableDVFS{}
-	}
 	if cfg.Source != nil {
 		s.source = cfg.Source
 	} else {
@@ -457,7 +437,7 @@ func New(cfg Config) (*Simulator, error) {
 	if s.hetero {
 		s.fmaxAt = make([]units.MHz, n)
 	}
-	inlet := s.thermal.Inlet()
+	inlet := af.Inlet()
 	for i := range s.sockets {
 		id := geometry.SocketID(i)
 		tdp := cfg.TDP
@@ -470,7 +450,7 @@ func New(cfg Config) (*Simulator, error) {
 			}
 		}
 		s.leakAt[i] = chipmodel.NewLeakage(tdp)
-		s.gatedPow[i] = s.power.IdlePower(tdp)
+		s.gatedPow[i] = units.Watts(chipmodel.GatedPowerFrac * float64(tdp))
 		s.sockets[i] = socketState{
 			doneAt: neverDone,
 			placement: metrics.JobPlacement{
@@ -567,9 +547,9 @@ func (s *Simulator) boostCap(util float64) units.MHz {
 	switch {
 	case s.cfg.DisableBoost:
 		return chipmodel.MaxSustained
-	case util <= s.cfg.BoostTier1Util:
+	case util <= boostTier1Util:
 		return chipmodel.FMax
-	case util <= s.cfg.BoostTier2Util:
+	case util <= boostTier2Util:
 		return 1700
 	default:
 		return chipmodel.MaxSustained
@@ -597,9 +577,9 @@ func (s *Simulator) setPower(i int, w units.Watts) {
 	}
 	s.powers[i] = w
 	if d := s.eng.dirty; d != nil {
-		d[s.eng.chanIdx[i]] = true
+		d[s.laneIdx[i]] = true
 	}
-	s.eng.unsettle(i)
+	s.unsettle(i)
 }
 
 // idleRank returns the position of id in the sorted idle set (or where it
@@ -621,7 +601,7 @@ func (s *Simulator) idleRank(id geometry.SocketID) int {
 // transition). O(log n) search plus the shift; allocation-free.
 func (s *Simulator) markBusy(i int) {
 	s.busyCount++
-	s.eng.unsettle(i)
+	s.unsettle(i)
 	s.laneEpoch[s.laneIdx[i]]++
 	k := s.idleRank(geometry.SocketID(i))
 	copy(s.idleSet[k:], s.idleSet[k+1:])
@@ -633,7 +613,7 @@ func (s *Simulator) markBusy(i int) {
 // reallocates.
 func (s *Simulator) markIdle(i int) {
 	s.busyCount--
-	s.eng.unsettle(i)
+	s.unsettle(i)
 	s.laneEpoch[s.laneIdx[i]]++
 	id := geometry.SocketID(i)
 	k := s.idleRank(id)
@@ -968,10 +948,10 @@ func (s *Simulator) powerManagerTick(dt units.Seconds) {
 // powerManagerTickSerial is the pristine reference sweep: dense ambient
 // recompute, ascending-ID socket loop, effects applied in place.
 func (s *Simulator) powerManagerTickSerial(dt units.Seconds) {
-	// 1) Ambient air follows current powers instantly (through the
-	// ThermalChain seam; the airflow network unless overridden).
+	// 1) Ambient air follows current powers instantly through the airflow
+	// network.
 	ambients := s.ambBuf
-	s.thermal.AmbientInto(s.powers, ambients)
+	s.af.AmbientInto(s.powers, ambients)
 
 	// The four first-order gains depend only on dt, which is the fixed tick
 	// period: compute them once per tick (in practice once per run), not
@@ -1077,13 +1057,13 @@ func (s *Simulator) auditTick() {
 // only — a dirty channel's cache is by definition awaiting recompute) and
 // the incrementally maintained idle set. No-op on the serial engine.
 func (s *Simulator) auditEngineCaches() {
-	if s.eng.incremental && s.checkAmb != nil {
-		s.thermal.AmbientInto(s.powers, s.checkAmb)
-		for ch := 0; ch < s.eng.numChan; ch++ {
-			if s.eng.dirty[ch] {
+	if s.checkAmb != nil {
+		s.af.AmbientInto(s.powers, s.checkAmb)
+		for ch, dirty := range s.eng.dirty {
+			if dirty {
 				continue
 			}
-			for _, id := range s.eng.afm.Channel(ch) {
+			for _, id := range s.af.Channel(ch) {
 				s.checks.AuditAmbientCache(int(id), s.ambBuf[id], s.checkAmb[id], s.now)
 			}
 		}
@@ -1133,12 +1113,25 @@ func (s *Simulator) settledChipTemp(i int, sink chipmodel.Sink) units.Celsius {
 	return t
 }
 
-// pickFrequencyIndexed asks the PowerManager seam for the socket's operating
-// frequency: with the default TableDVFS manager this is the Table III policy
-// (highest admissible P-state under the predicted Equation-1 peak, boost
-// budget respected).
+// pickFrequencyIndexed is the power-management policy of Table III and the
+// serial engine's reference pick: the highest P-state (boost included,
+// subject to the boost-budget cap) whose *predicted steady* Equation-1 peak
+// temperature at the socket's current ambient stays under the 95C limit.
+// Using the steady prediction rather than the transient chip temperature
+// keeps the policy conservative — a millisecond job cannot outrun the
+// thermal model — and makes the power manager agree exactly with the
+// schedulers' frequency predictor.
 func (s *Simulator) pickFrequencyIndexed(id geometry.SocketID) units.MHz {
-	return s.power.PickFrequency(s.amb[id], &s.jobs[id].Benchmark, s.srv.Sink(id), s.capFor(int(id), s.util[id]), s.leakAt[id])
+	ambient, b := s.amb[id], &s.jobs[id].Benchmark
+	sink, leak := s.srv.Sink(id), s.leakAt[id]
+	i := chipmodel.HighestAdmissible(chipmodel.CapIndex(s.capFor(int(id), s.util[id])), func(i int) bool {
+		dyn := b.DynamicPowerAt(chipmodel.Frequencies[i])
+		return chipmodel.PredictTwoStep(ambient, dyn, sink, leak) <= chipmodel.TempLimit
+	})
+	if i < 0 {
+		return chipmodel.FMin
+	}
+	return chipmodel.Frequencies[i]
 }
 
 // Arrived returns the number of jobs admitted.

@@ -67,18 +67,12 @@ type sourceIdentifier interface {
 }
 
 // snapshotable reports (with a reason) whether this run supports snapshots.
-// Custom thermal chains and power policies may carry arbitrary hidden state
-// the serializer cannot see, and the invariant harness accumulates run
-// history that a restore would falsify — all three refuse, fail closed.
+// The invariant harness accumulates run history that a restore would
+// falsify, and a source without sourceSnapshotter has a cursor the
+// serializer cannot see — both refuse, fail closed.
 func (s *Simulator) snapshotable() error {
 	if s.checks != nil {
 		return fmt.Errorf("sim: snapshot with invariant harness installed (checks accumulate run history a restore would falsify)")
-	}
-	if s.cfg.Thermal != nil {
-		return fmt.Errorf("sim: snapshot with a custom thermal chain (its state is opaque to the serializer)")
-	}
-	if s.cfg.Power != nil {
-		return fmt.Errorf("sim: snapshot with a custom power policy (its state is opaque to the serializer)")
 	}
 	if _, ok := s.source.(sourceSnapshotter); !ok {
 		return fmt.Errorf("sim: workload source %T does not support snapshots", s.source)
@@ -146,8 +140,8 @@ func (s *Simulator) cfgSig() [32]byte {
 		w.u8(0)
 	}
 	w.f64(float64(c.BoostWindow))
-	w.f64(c.BoostTier1Util)
-	w.f64(c.BoostTier2Util)
+	w.f64(boostTier1Util)
+	w.f64(boostTier2Util)
 	w.f64(float64(c.Migration.Period))
 	w.f64(float64(c.Migration.Cost))
 	w.f64(c.Migration.MinGainMHz)

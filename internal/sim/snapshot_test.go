@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"densim/internal/airflow"
+	"densim/internal/check"
 	"densim/internal/sched"
 	"densim/internal/units"
 	"densim/internal/workload"
@@ -201,18 +202,18 @@ func TestSnapshotFailsClosed(t *testing.T) {
 }
 
 // TestSnapshotRefusals pins the fail-closed gating: runs whose state the
-// serializer cannot see — custom thermal chains, custom power policies,
-// non-snapshottable sources, or an installed invariant harness — must refuse
-// to snapshot rather than capture a resume that would silently diverge.
+// serializer cannot see — a non-snapshottable source or an installed
+// invariant harness — must refuse to snapshot rather than capture a resume
+// that would silently diverge.
 func TestSnapshotRefusals(t *testing.T) {
 	cfg := snapConfig(t, "CP", EngineConfig{})
-	cfg.Thermal = constantChain{inlet: 25}
+	cfg.Checks = check.New()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Snapshot(); err == nil {
-		t.Error("snapshot accepted with a custom thermal chain")
+		t.Error("snapshot accepted with the invariant harness installed")
 	}
 
 	cfg = snapConfig(t, "CP", EngineConfig{})
