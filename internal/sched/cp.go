@@ -79,18 +79,14 @@ type CouplingPredictor struct {
 	// no table probe on a before-memo hit.
 	beforeLad [][]units.Watts
 	beforeThr []chipmodel.BoundsRow
-	// ownPick* memoizes the candidate's own ladder search the same way:
-	// the highest admissible index at (ambient bits, DynMax bits) for the
-	// candidate's fixed sink.
-	ownPickIdx    []int8
-	ownPickAmb    []units.Celsius
-	ownPickDynMax []units.Watts
-	// admiss caches exact P-state admissibility verdicts per socket (see
-	// chipmodel.AdmissCache): every ladder search in score probes through
-	// it, so repeated predictions at unchanged or bound-dominated ambients
-	// skip the leakage exponential. Valid across Picks — entries are keyed
-	// by the probe's dynamic-power bits, never by job identity.
-	admiss *chipmodel.AdmissCache
+	// own is the candidate's own-frequency search, shared with Predictive:
+	// the highest admissible index memoized at (ambient bits, DynMax bits)
+	// for the candidate's fixed sink. Its admissibility cache (see
+	// chipmodel.AdmissCache) also backs the downwind searches below, so
+	// repeated predictions at unchanged or bound-dominated ambients skip the
+	// leakage exponential. Valid across Picks — entries are keyed by the
+	// probe's dynamic-power bits, never by job identity.
+	own ladderSearch
 	// ownTemp* replay the leakage drawn at the candidate's predicted chip
 	// temperature when the (ambient, dynamic power) inputs are bit-unchanged:
 	// a pure-function memo, exact by replay.
@@ -111,7 +107,7 @@ type CouplingPredictor struct {
 	scoreDynMax []units.Watts
 	scoreVal    []float64
 	// vec holds the state's per-socket vectors for the duration of one Pick.
-	vec StateVectors
+	vec *StateVectors
 }
 
 // CPOptions selects CP design-point ablations. The zero value is the full
@@ -167,6 +163,7 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 	srv := s.Server()
 	cp.vec = s.Vectors()
 
+	cp.own.ensure(cp.vec)
 	if len(cp.beforeFreq) < srv.NumSockets() {
 		n := srv.NumSockets()
 		cp.beforeFreq = make([]units.MHz, n)
@@ -175,26 +172,6 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 		cp.beforeDynMax = make([]units.Watts, n)
 		cp.beforeLad = make([][]units.Watts, n)
 		cp.beforeThr = make([]chipmodel.BoundsRow, n)
-		cp.ownPickIdx = make([]int8, n)
-		cp.ownPickAmb = make([]units.Celsius, n)
-		cp.ownPickDynMax = make([]units.Watts, n)
-		// CP picks from the single simulation goroutine, so the shared
-		// dynW-keyed bounds pool is safe — and essential: job churn resets
-		// per-socket bounds every few ticks at high load. The pool keys
-		// bounds by dynamic power alone, which is only sound when every
-		// socket shares one leakage curve; heterogeneous SKUs fall back to
-		// per-socket bounds.
-		cp.admiss = chipmodel.NewAdmissCache(n)
-		homogeneous := true
-		for _, l := range cp.vec.Leak[1:n] {
-			if l != cp.vec.Leak[0] {
-				homogeneous = false
-				break
-			}
-		}
-		if homogeneous {
-			cp.admiss.EnableSharedPool()
-		}
 		cp.ownTempAmb = make([]units.Celsius, n)
 		cp.ownTempDynW = make([]units.Watts, n)
 		cp.ownTempLeakW = make([]units.Watts, n)
@@ -223,7 +200,6 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 		for i := 0; i < n; i++ {
 			cp.ownTempAmb[i] = units.Celsius(nan)
 			cp.beforeAmb[i] = units.Celsius(nan)
-			cp.ownPickAmb[i] = units.Celsius(nan)
 			cp.scoreDynMax[i] = units.Watts(nan)
 		}
 	}
@@ -303,7 +279,7 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 // the IdleWeighted ablation every call is fresh.
 func (cp *CouplingPredictor) scoreCached(s State, bm *workload.Benchmark, cand geometry.SocketID, util float64) float64 {
 	if cp.opts.IdleWeighted {
-		return cp.score(s, bm, cand, util)
+		return cp.score(s, bm, bm.DynMax(), cand, util)
 	}
 	ci := int(cand)
 	e := cp.vec.Epoch[cp.chanOf[ci]]
@@ -311,7 +287,7 @@ func (cp *CouplingPredictor) scoreCached(s State, bm *workload.Benchmark, cand g
 	if cp.scoreEpoch[ci] == e && cp.scoreDynMax[ci] == dm {
 		return cp.scoreVal[ci]
 	}
-	v := cp.score(s, bm, cand, util)
+	v := cp.score(s, bm, dm, cand, util)
 	cp.scoreEpoch[ci] = e
 	cp.scoreDynMax[ci] = dm
 	cp.scoreVal[ci] = v
@@ -320,44 +296,22 @@ func (cp *CouplingPredictor) scoreCached(s State, bm *workload.Benchmark, cand g
 
 // score returns the candidate's net predicted frequency benefit in MHz.
 // util weights the losses predicted for currently-idle downwind sockets.
-// bm is the job's benchmark; its dynamic-power curve is wrapped in a func
-// literal here rather than via Benchmark.DynamicPower, whose returned method
-// value heap-allocates on every call.
-func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometry.SocketID, util float64) float64 {
+// bm is the job's benchmark and dm its DynMax; its dynamic-power curve is
+// wrapped in a func literal here rather than via Benchmark.DynamicPower,
+// whose returned method value heap-allocates on every call.
+func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Watts, cand geometry.SocketID, util float64) float64 {
 	srv := s.Server()
 	af := s.Airflow()
 	leak := cp.vec.Leak[cand]
 	dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
 	ladder := len(chipmodel.Frequencies) - 1
 
-	// Own predicted frequency at the candidate's current ambient, capped
-	// by the candidate's boost budget. The uncapped ladder index is a pure
-	// function of (ambient bits, power-curve DynMax) for the candidate's
-	// fixed sink — replayed from the per-socket memo when both match, and
-	// found by the same bounds-cache-backed binary search as
-	// chipmodel.PredictFrequency otherwise.
+	// Own predicted frequency at the candidate's current ambient (the
+	// shared memoized search), capped by the candidate's boost budget.
 	candAmb := cp.vec.Amb[cand]
 	candSink := srv.Sink(cand)
-	bmDynMax := bm.DynMax()
 	ci := int(cand)
-	var ownIdx int
-	if cp.ownPickAmb[ci] == candAmb && cp.ownPickDynMax[ci] == bmDynMax {
-		ownIdx = int(cp.ownPickIdx[ci])
-	} else {
-		bmLad, bmThr := cp.admiss.LadderBounds(bmDynMax, func(k int) units.Watts {
-			return bm.DynamicPowerAt(chipmodel.Frequencies[k])
-		}, candSink, leak)
-		ownIdx = chipmodel.HighestAdmissible(ladder, func(k int) bool {
-			return cp.admiss.AdmissibleRow(bmThr, ci, k, candAmb, bmLad[k], candSink, leak)
-		})
-		cp.ownPickAmb[ci] = candAmb
-		cp.ownPickDynMax[ci] = bmDynMax
-		cp.ownPickIdx[ci] = int8(ownIdx)
-	}
-	ownFreq := chipmodel.FMin
-	if ownIdx >= 0 {
-		ownFreq = chipmodel.Frequencies[ownIdx]
-	}
+	ownFreq := ladderFreq(cp.own.index(cp.vec, bm, dm, cand, candSink))
 	if !cp.opts.IgnoreBudget && ownFreq > cp.vec.Cap[cand] {
 		ownFreq = cp.vec.Cap[cand]
 	}
@@ -428,16 +382,13 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometr
 			dLad = cp.beforeLad[down]
 			dThr = cp.beforeThr[down]
 		} else {
-			dLad, dThr = cp.admiss.LadderBounds(dmax, func(k int) units.Watts {
+			dLad, dThr = cp.own.admiss.LadderBounds(dmax, func(k int) units.Watts {
 				return dbm.DynamicPowerAt(chipmodel.Frequencies[k])
 			}, sink, dleak)
 			bIdx = chipmodel.HighestAdmissible(ladder, func(k int) bool {
-				return cp.admiss.AdmissibleRow(dThr, int(down), k, amb, dLad[k], sink, dleak)
+				return cp.own.admiss.AdmissibleRow(dThr, int(down), k, amb, dLad[k], sink, dleak)
 			})
-			before = chipmodel.FMin
-			if bIdx >= 0 {
-				before = chipmodel.Frequencies[bIdx]
-			}
+			before = ladderFreq(bIdx)
 			cp.beforeFreq[down] = before
 			cp.beforeIdx[down] = int8(bIdx)
 			cp.beforeAmb[down] = amb
@@ -455,12 +406,9 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, cand geometr
 		// costs one probe; rise only heats, so the answer is bIdx or below.
 		ambAfter := amb + rise
 		aIdx := chipmodel.HighestAdmissibleFrom(bIdx, bIdx, func(k int) bool {
-			return cp.admiss.AdmissibleRow(dThr, int(down), k, ambAfter, dLad[k], sink, dleak)
+			return cp.own.admiss.AdmissibleRow(dThr, int(down), k, ambAfter, dLad[k], sink, dleak)
 		})
-		after := chipmodel.FMin
-		if aIdx >= 0 {
-			after = chipmodel.Frequencies[aIdx]
-		}
+		after := ladderFreq(aIdx)
 		if !cp.opts.IgnoreBudget {
 			// Losses above the downwind socket's budget cap do not count:
 			// it could not have run there anyway.

@@ -6,7 +6,11 @@
 // A Scheduler sees the system through the State interface the simulator
 // implements — the topology, the coupling model and the live per-socket
 // vectors (StateVectors), which alias the simulator's own storage — and
-// picks one socket from the idle set for each pending job.
+// picks one socket from the idle set for each pending job. Every policy
+// reads the vectors directly: the socket temperature the
+// temperature-ordering policies rank by is one formula over them
+// (StateVectors.SocketTemp), and Predictive and CP share one memoized
+// own-frequency search (ladderSearch).
 // Schedulers must be deterministic given their construction-time seed.
 package sched
 
@@ -21,24 +25,21 @@ import (
 )
 
 // State is the scheduler's view of the live system: the topology, the
-// coupling model, and the per-socket state vectors. Quantities that are
-// stored per socket are read through Vectors; SocketTemp and Busy stay
-// methods because they are derived (the formula lives in the simulator).
+// coupling model, and the per-socket state vectors. Everything stored per
+// socket is read through Vectors; Busy stays a method because it folds in
+// the fault runtime's dead-socket set, which no vector carries.
 type State interface {
 	// Server returns the topology.
 	Server() *geometry.Server
 	// Airflow returns the thermal-coupling model (the offline heat-transfer
 	// map of MinHR and the table lookup of CP).
 	Airflow() *airflow.Model
-	// SocketTemp returns the lumped socket temperature (heatsink mass,
-	// 30 s time constant) — the paper's "instantaneous socket temperature"
-	// that the temperature-ordering policies read.
-	SocketTemp(geometry.SocketID) units.Celsius
 	// Busy reports whether the socket cannot accept work: it is running a
 	// job, or it is dead (a socket-death fault) and carries none.
 	Busy(geometry.SocketID) bool
-	// Vectors returns the per-socket state. O(1): no copying.
-	Vectors() StateVectors
+	// Vectors returns the per-socket state: one structure the simulator
+	// builds once, so the call is a pointer return with no copying.
+	Vectors() *StateVectors
 }
 
 // StateVectors is the live per-socket state, indexed by socket ID (Epoch by
@@ -46,6 +47,10 @@ type State interface {
 // for the duration of one Pick and must never be written by schedulers.
 //
 //   - Amb[i] is the socket's current entry air temperature.
+//   - Pewma[i] is the socket's 30-second power average, the heatsink-mass
+//     state behind SocketTemp.
+//   - RExt[i] is the external thermal resistance of the socket's heat sink
+//     (chipmodel.Sink.RExt), a per-socket constant.
 //   - Hist[i] is a slow-moving average of the socket temperature (the
 //     history input of A-Random).
 //   - Job[i] is the running job, nil while the socket is idle or dead.
@@ -59,19 +64,33 @@ type State interface {
 //   - Epoch[ch] is the change epoch of airflow channel ch, indexed row-major
 //     (row*Lanes + lane) as airflow.Model.Channel. It stays unchanged only
 //     while every State-visible quantity of the channel's sockets — the
-//     vectors above, SocketTemp and Busy — is bit-unchanged since the epoch
-//     was last observed. Any mutation (a thermal sweep that was not an exact
-//     identity, a placement/completion/migration, a fault application, a
-//     state restore) advances it first. Schedulers use it to memoize
-//     per-socket predictions and replay them on an unchanged epoch: exact by
-//     replay, since an unchanged epoch proves every input bit-identical.
+//     vectors above (Pewma included, and so SocketTemp) and Busy — is
+//     bit-unchanged since the epoch was last observed. Any mutation (a
+//     thermal sweep that was not an exact identity, a
+//     placement/completion/migration, a fault application, a state restore)
+//     advances it first. Schedulers use it to memoize per-socket
+//     predictions and replay them on an unchanged epoch: exact by replay,
+//     since an unchanged epoch proves every input bit-identical.
 type StateVectors struct {
 	Amb   []units.Celsius
+	Pewma []units.Watts
+	RExt  []float64
 	Hist  []units.Celsius
 	Job   []*job.Job
 	Leak  []chipmodel.Leakage
 	Cap   []units.MHz
 	Epoch []uint64
+}
+
+// SocketTemp returns the lumped socket temperature (heatsink mass, 30 s time
+// constant): the ambient plus the socket's power average across the sink's
+// external resistance. It is the paper's "instantaneous socket temperature"
+// that the temperature-ordering policies (CF, HF, MinHR, CN, Balanced,
+// Balanced-L, A-Random) read, and the one expression the simulator's sweeps,
+// history EWMA and recorder evaluate too, so every reader sees the same
+// bits.
+func (v *StateVectors) SocketTemp(id geometry.SocketID) units.Celsius {
+	return v.Amb[id] + units.Celsius(float64(v.Pewma[id])*v.RExt[id])
 }
 
 // Scheduler picks a socket for a job from the non-empty idle set.
@@ -104,8 +123,9 @@ func (CoolestFirst) Name() string { return "CF" }
 
 // Pick implements Scheduler.
 func (CoolestFirst) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
+	v := s.Vectors()
 	return argBest(idle, func(id geometry.SocketID) float64 {
-		return float64(s.SocketTemp(id))
+		return float64(v.SocketTemp(id))
 	})
 }
 
@@ -119,8 +139,9 @@ func (HottestFirst) Name() string { return "HF" }
 
 // Pick implements Scheduler.
 func (HottestFirst) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
+	v := s.Vectors()
 	return argBest(idle, func(id geometry.SocketID) float64 {
-		return -float64(s.SocketTemp(id))
+		return -float64(v.SocketTemp(id))
 	})
 }
 
@@ -154,9 +175,10 @@ func (MinHR) Name() string { return "MinHR" }
 // Pick implements Scheduler.
 func (MinHR) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	af := s.Airflow()
+	v := s.Vectors()
 	return argBest(idle, func(id geometry.SocketID) float64 {
 		// Primary: recirculation factor; secondary: temperature.
-		return af.RecirculationFactor(id)*1e6 + float64(s.SocketTemp(id))
+		return af.RecirculationFactor(id)*1e6 + float64(v.SocketTemp(id))
 	})
 }
 
@@ -171,13 +193,14 @@ func (CoolestNeighbors) Name() string { return "CN" }
 // Pick implements Scheduler.
 func (CoolestNeighbors) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	srv := s.Server()
+	v := s.Vectors()
 	return argBest(idle, func(id geometry.SocketID) float64 {
-		own := float64(s.SocketTemp(id))
+		own := float64(v.SocketTemp(id))
 		var nsum float64
 		var buf [6]geometry.SocketID
 		neigh := srv.AppendNeighbors(buf[:0], id)
 		for _, n := range neigh {
-			nsum += float64(s.SocketTemp(n))
+			nsum += float64(v.SocketTemp(n))
 		}
 		if len(neigh) == 0 {
 			return own * 2
@@ -196,12 +219,14 @@ func (Balanced) Name() string { return "Balanced" }
 // Pick implements Scheduler.
 func (Balanced) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	srv := s.Server()
-	// Locate the hottest socket in the whole server.
+	v := s.Vectors()
+	// Locate the hottest socket in the whole server (IDs ascending, first
+	// maximum wins).
 	hottest := geometry.SocketID(0)
 	hotT := units.Celsius(-1e9)
-	for _, sk := range srv.Sockets() {
-		if t := s.SocketTemp(sk.ID); t > hotT {
-			hottest, hotT = sk.ID, t
+	for i := range v.Amb {
+		if t := v.SocketTemp(geometry.SocketID(i)); t > hotT {
+			hottest, hotT = geometry.SocketID(i), t
 		}
 	}
 	return argBest(idle, func(id geometry.SocketID) float64 {
@@ -220,9 +245,10 @@ func (BalancedLocations) Name() string { return "Balanced-L" }
 // Pick implements Scheduler.
 func (BalancedLocations) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	srv := s.Server()
+	v := s.Vectors()
 	return argBest(idle, func(id geometry.SocketID) float64 {
 		x, _, _ := srv.Position(id)
-		return float64(x)*1e6 + float64(s.SocketTemp(id))
+		return float64(x)*1e6 + float64(v.SocketTemp(id))
 	})
 }
 
@@ -234,6 +260,9 @@ type AdaptiveRandom struct {
 	rng rng
 	// Band is the temperature slack (C) for candidate sets.
 	Band float64
+	// cands and finals are the two candidate bands, reused across Picks so
+	// the placement path does not allocate.
+	cands, finals []geometry.SocketID
 }
 
 // NewAdaptiveRandom builds the policy with a deterministic seed and the
@@ -247,54 +276,64 @@ func (*AdaptiveRandom) Name() string { return "A-Random" }
 
 // Pick implements Scheduler.
 func (a *AdaptiveRandom) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
+	v := s.Vectors()
 	// Coolest-current band.
-	minCur := float64(s.SocketTemp(idle[0]))
+	minCur := float64(v.SocketTemp(idle[0]))
 	for _, id := range idle[1:] {
-		if t := float64(s.SocketTemp(id)); t < minCur {
+		if t := float64(v.SocketTemp(id)); t < minCur {
 			minCur = t
 		}
 	}
-	var cands []geometry.SocketID
+	a.cands = a.cands[:0]
 	for _, id := range idle {
-		if float64(s.SocketTemp(id)) <= minCur+a.Band {
-			cands = append(cands, id)
+		if float64(v.SocketTemp(id)) <= minCur+a.Band {
+			a.cands = append(a.cands, id)
 		}
 	}
 	// Lowest-history band within the candidates.
-	hist := s.Vectors().Hist
-	minHist := float64(hist[cands[0]])
-	for _, id := range cands[1:] {
+	hist := v.Hist
+	minHist := float64(hist[a.cands[0]])
+	for _, id := range a.cands[1:] {
 		if t := float64(hist[id]); t < minHist {
 			minHist = t
 		}
 	}
-	var finals []geometry.SocketID
-	for _, id := range cands {
+	a.finals = a.finals[:0]
+	for _, id := range a.cands {
 		if float64(hist[id]) <= minHist+a.Band {
-			finals = append(finals, id)
+			a.finals = append(a.finals, id)
 		}
 	}
-	return finals[a.rng.Intn(len(finals))]
+	return a.finals[a.rng.Intn(len(a.finals))]
 }
 
 // Predictive [81][43] estimates, for every idle socket, the frequency the
 // job would achieve there (through the Equation-1 two-step prediction) and
 // places the job where it runs fastest; ties break toward cooler ambient.
-type Predictive struct{}
+//
+// The estimate is PredictSocketFrequency's, found through the memoized
+// own-frequency search CP uses (ladderSearch), so a Predictive is not safe
+// for concurrent use: give each simulation its own (ByName constructs fresh
+// ones).
+type Predictive struct {
+	own ladderSearch
+}
 
 // Name implements Scheduler.
-func (Predictive) Name() string { return "Predictive" }
+func (*Predictive) Name() string { return "Predictive" }
 
 // Pick implements Scheduler.
-func (Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
+func (p *Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	srv := s.Server()
 	v := s.Vectors()
-	// Wrap the curve in a func literal (stack-allocatable) rather than the
-	// DynamicPower method value, which heap-allocates its bound receiver.
+	p.own.ensure(v)
 	bm := &j.Benchmark
-	dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
+	dm := bm.DynMax()
 	return argBest(idle, func(id geometry.SocketID) float64 {
-		f := PredictSocketFrequency(v, id, dyn, srv.Sink(id))
+		f := ladderFreq(p.own.index(v, bm, dm, id, srv.Sink(id)))
+		if cap := v.Cap[id]; f > cap {
+			f = cap
+		}
 		// Maximize frequency; among equal frequencies prefer cooler air.
 		return -float64(f)*1e3 + float64(v.Amb[id])
 	})
@@ -303,8 +342,9 @@ func (Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.S
 // PredictSocketFrequency estimates the frequency a job with the given
 // dynamic-power curve would achieve on a socket: the Equation-1 two-step
 // thermal prediction at the socket's ambient and leakage, capped at what its
-// boost budget permits.
-func PredictSocketFrequency(v StateVectors, id geometry.SocketID, dyn chipmodel.DynamicPowerFn, sink chipmodel.Sink) units.MHz {
+// boost budget permits. It is the unmemoized reference for the estimate
+// Predictive and CP find through ladderSearch.
+func PredictSocketFrequency(v *StateVectors, id geometry.SocketID, dyn chipmodel.DynamicPowerFn, sink chipmodel.Sink) units.MHz {
 	f := chipmodel.PredictFrequency(v.Amb[id], dyn, sink, v.Leak[id])
 	if cap := v.Cap[id]; f > cap {
 		return cap
@@ -333,7 +373,7 @@ func ByName(name string, seed uint64) (Scheduler, error) {
 	case "A-Random":
 		return NewAdaptiveRandom(seed), nil
 	case "Predictive":
-		return Predictive{}, nil
+		return &Predictive{}, nil
 	case "CP":
 		return NewCouplingPredictor(seed), nil
 	// CP ablation variants (not part of the paper's scheme set; used by the

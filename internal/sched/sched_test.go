@@ -12,20 +12,24 @@ import (
 )
 
 // fakeState is a hand-settable State for policy unit tests. It holds the
-// same per-socket slices the simulator hands out, and moves every channel to
-// a fresh epoch on each Vectors call, so no scheduler memo survives a test's
-// mutation between picks, nor a scheduler reused across two fakeStates.
+// same per-socket slices the simulator hands out — the socket temperature is
+// the StateVectors formula over amb, pewma and rext, set through setTemp —
+// and moves every channel to a fresh epoch on each Vectors call, so no
+// epoch-keyed scheduler memo survives a test's mutation between picks, nor
+// a scheduler reused across two fakeStates.
 type fakeState struct {
 	srv   *geometry.Server
 	af    *airflow.Model
-	chip  []units.Celsius // SocketTemp
 	amb   []units.Celsius
+	pewma []units.Watts
+	rext  []float64
 	hist  []units.Celsius
 	jobs  []*job.Job
 	leak  []chipmodel.Leakage
 	caps  []units.MHz
 	dead  []bool
 	epoch []uint64
+	vec   StateVectors
 }
 
 func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
@@ -38,8 +42,9 @@ func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
 	fs := &fakeState{
 		srv:   srv,
 		af:    af,
-		chip:  make([]units.Celsius, n),
 		amb:   make([]units.Celsius, n),
+		pewma: make([]units.Watts, n),
+		rext:  make([]float64, n),
 		hist:  make([]units.Celsius, n),
 		jobs:  make([]*job.Job, n),
 		leak:  make([]chipmodel.Leakage, n),
@@ -47,9 +52,13 @@ func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
 		dead:  make([]bool, n),
 		epoch: make([]uint64, af.NumChannels()),
 	}
+	fs.vec = StateVectors{Amb: fs.amb, Pewma: fs.pewma, RExt: fs.rext, Hist: fs.hist,
+		Job: fs.jobs, Leak: fs.leak, Cap: fs.caps, Epoch: fs.epoch}
 	for i := 0; i < n; i++ {
-		fs.chip[i] = 25
+		id := geometry.SocketID(i)
+		fs.rext[i] = srv.Sink(id).RExt()
 		fs.amb[i] = 18
+		fs.setTemp(id, 25)
 		fs.hist[i] = 25
 		fs.leak[i] = chipmodel.NewLeakage(workload.TDP)
 		fs.caps[i] = chipmodel.FMax
@@ -57,20 +66,29 @@ func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
 	return fs
 }
 
-func (f *fakeState) Server() *geometry.Server                      { return f.srv }
-func (f *fakeState) Airflow() *airflow.Model                       { return f.af }
-func (f *fakeState) SocketTemp(id geometry.SocketID) units.Celsius { return f.chip[id] }
-func (f *fakeState) Busy(id geometry.SocketID) bool                { return f.jobs[id] != nil || f.dead[id] }
+// setTemp sets the socket's power average so that its socket temperature
+// (ambient plus power average across the sink's external resistance) is t
+// at the current ambient, up to rounding; set amb first.
+func (f *fakeState) setTemp(id geometry.SocketID, t units.Celsius) {
+	f.pewma[id] = units.Watts(float64(t-f.amb[id]) / f.rext[id])
+}
+
+// temp is the socket temperature the policies read.
+func (f *fakeState) temp(id geometry.SocketID) units.Celsius { return f.vec.SocketTemp(id) }
+
+func (f *fakeState) Server() *geometry.Server       { return f.srv }
+func (f *fakeState) Airflow() *airflow.Model        { return f.af }
+func (f *fakeState) Busy(id geometry.SocketID) bool { return f.jobs[id] != nil || f.dead[id] }
 
 // fakeEpochs numbers the Vectors calls of every fakeState.
 var fakeEpochs uint64
 
-func (f *fakeState) Vectors() StateVectors {
+func (f *fakeState) Vectors() *StateVectors {
 	fakeEpochs++
 	for ch := range f.epoch {
 		f.epoch[ch] = fakeEpochs
 	}
-	return StateVectors{Amb: f.amb, Hist: f.hist, Job: f.jobs, Leak: f.leak, Cap: f.caps, Epoch: f.epoch}
+	return &f.vec
 }
 
 func compJob() *job.Job {
@@ -89,7 +107,7 @@ func TestCFPicksCoolest(t *testing.T) {
 	srv := geometry.SUT()
 	fs := newFakeState(t, srv)
 	cool := srv.SocketAt(8, 1, 3).ID
-	fs.chip[cool] = 20
+	fs.setTemp(cool, 20)
 	got := CoolestFirst{}.Pick(fs, compJob(), idleSet(srv))
 	if got != cool {
 		t.Errorf("CF picked %d, want %d", got, cool)
@@ -109,7 +127,7 @@ func TestHFPicksHottest(t *testing.T) {
 	srv := geometry.SUT()
 	fs := newFakeState(t, srv)
 	hot := srv.SocketAt(2, 0, 5).ID
-	fs.chip[hot] = 80
+	fs.setTemp(hot, 80)
 	if got := (HottestFirst{}).Pick(fs, compJob(), idleSet(srv)); got != hot {
 		t.Errorf("HF picked %d, want %d", got, hot)
 	}
@@ -149,7 +167,7 @@ func TestMinHRTieBreaksByCoolness(t *testing.T) {
 	srv := geometry.SUT()
 	fs := newFakeState(t, srv)
 	coolZ6 := srv.SocketAt(11, 1, 5).ID
-	fs.chip[coolZ6] = 19
+	fs.setTemp(coolZ6, 19)
 	if got := (MinHR{}).Pick(fs, compJob(), idleSet(srv)); got != coolZ6 {
 		t.Errorf("MinHR picked %d, want coolest zone-6 socket %d", got, coolZ6)
 	}
@@ -162,28 +180,56 @@ func TestCNAvoidsHotNeighborhood(t *testing.T) {
 	// cool neighbors.
 	a := srv.SocketAt(5, 0, 2).ID
 	b := srv.SocketAt(10, 0, 2).ID
-	fs.chip[a] = 20
+	fs.setTemp(a, 20)
 	for _, n := range srv.AppendNeighbors(nil, a) {
-		fs.chip[n] = 90
+		fs.setTemp(n, 90)
 	}
-	fs.chip[b] = 22
+	fs.setTemp(b, 22)
 	idle := []geometry.SocketID{a, b}
 	if got := (CoolestNeighbors{}).Pick(fs, compJob(), idle); got != b {
 		t.Errorf("CN picked %d (hot neighborhood), want %d", got, b)
 	}
 }
 
-// CN scores every idle socket's neighborhood on every pick, so its pick
-// must gather neighbors into stack scratch rather than a fresh slice.
-func TestCNPickDoesNotAllocate(t *testing.T) {
+// TestSchedulerPicksDoNotAllocate: every policy's Pick is allocation-free
+// once warm — scratch buffers and memo tables sized, the job's power-curve
+// ladder built, CN's neighbors gathered into stack scratch. Each measured
+// pick first moves one socket's ambient and power average, so the memoized
+// policies exercise their miss paths too, and half the sockets run jobs,
+// so CP prices downwind losses.
+func TestSchedulerPicksDoNotAllocate(t *testing.T) {
 	srv := geometry.SUT()
 	fs := newFakeState(t, srv)
-	idle := idleSet(srv)
+	var idle []geometry.SocketID
+	for i, sk := range srv.Sockets() {
+		fs.amb[sk.ID] = units.Celsius(40 + (i*3)%25)
+		fs.setTemp(sk.ID, fs.amb[sk.ID]+units.Celsius((i*7)%20))
+		fs.hist[sk.ID] = fs.temp(sk.ID)
+		if i%2 == 0 {
+			fs.jobs[sk.ID] = compJob()
+		} else {
+			idle = append(idle, sk.ID)
+		}
+	}
 	j := compJob()
-	if allocs := testing.AllocsPerRun(20, func() {
-		(CoolestNeighbors{}).Pick(fs, j, idle)
-	}); allocs != 0 {
-		t.Errorf("CoolestNeighbors.Pick allocates %.1f objects/op, want 0", allocs)
+	for _, name := range Names() {
+		s, err := ByName(name, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			s.Pick(fs, j, idle)
+		}
+		k := 0
+		if allocs := testing.AllocsPerRun(50, func() {
+			id := idle[k%len(idle)]
+			k++
+			fs.amb[id] += 0.25
+			fs.pewma[id] += 0.5
+			s.Pick(fs, j, idle)
+		}); allocs != 0 {
+			t.Errorf("%s Pick allocates %.1f objects/op, want 0", name, allocs)
+		}
 	}
 }
 
@@ -191,7 +237,7 @@ func TestBalancedRunsFromHotspot(t *testing.T) {
 	srv := geometry.SUT()
 	fs := newFakeState(t, srv)
 	hot := srv.SocketAt(0, 0, 0).ID
-	fs.chip[hot] = 95
+	fs.setTemp(hot, 95)
 	got := Balanced{}.Pick(fs, compJob(), idleSet(srv))
 	// The farthest point from row0/lane0/zone1 is row14/lane1/zone6.
 	want := srv.SocketAt(14, 1, 5).ID
@@ -209,7 +255,7 @@ func TestBalancedLPrefersInlet(t *testing.T) {
 	}
 	// Ties within zone 1 break by coolness.
 	cool := srv.SocketAt(9, 1, 0).ID
-	fs.chip[cool] = 15
+	fs.setTemp(cool, 15)
 	if got := (BalancedLocations{}).Pick(fs, compJob(), idleSet(srv)); got != cool {
 		t.Errorf("Balanced-L picked %d, want coolest zone-1 socket %d", got, cool)
 	}
@@ -222,10 +268,11 @@ func TestARandomUsesHistory(t *testing.T) {
 	a := srv.SocketAt(3, 0, 1).ID
 	b := srv.SocketAt(4, 0, 1).ID
 	for _, sk := range srv.Sockets() {
-		fs.chip[sk.ID] = 50
+		fs.setTemp(sk.ID, 50)
 		fs.hist[sk.ID] = 50
 	}
-	fs.chip[a], fs.chip[b] = 20, 20
+	fs.setTemp(a, 20)
+	fs.setTemp(b, 20)
 	fs.hist[a], fs.hist[b] = 45, 20 // a consistently hot
 	ar := NewAdaptiveRandom(7)
 	for i := 0; i < 50; i++ {
@@ -244,7 +291,7 @@ func TestPredictivePicksFastestSocket(t *testing.T) {
 	}
 	fast := srv.SocketAt(6, 1, 1).ID // 30-fin zone
 	fs.amb[fast] = 20
-	if got := (Predictive{}).Pick(fs, compJob(), idleSet(srv)); got != fast {
+	if got := (&Predictive{}).Pick(fs, compJob(), idleSet(srv)); got != fast {
 		t.Errorf("Predictive picked %d, want %d", got, fast)
 	}
 }
@@ -258,7 +305,7 @@ func TestPredictivePrefersBetterSinkAtEqualAmbient(t *testing.T) {
 	for _, sk := range srv.Sockets() {
 		fs.amb[sk.ID] = 62
 	}
-	got := Predictive{}.Pick(fs, compJob(), idleSet(srv))
+	got := (&Predictive{}).Pick(fs, compJob(), idleSet(srv))
 	if !srv.IsEvenZone(got) {
 		t.Errorf("Predictive picked odd zone %d at sink-splitting ambient", srv.Zone(got))
 	}
@@ -356,9 +403,9 @@ func TestAllPoliciesReturnIdleSocket(t *testing.T) {
 	fs := newFakeState(t, srv)
 	// Random-ish temperatures.
 	for i, sk := range srv.Sockets() {
-		fs.chip[sk.ID] = units.Celsius(20 + (i*7)%40)
 		fs.amb[sk.ID] = units.Celsius(18 + (i*3)%30)
-		fs.hist[sk.ID] = fs.chip[sk.ID]
+		fs.setTemp(sk.ID, units.Celsius(20+(i*7)%40))
+		fs.hist[sk.ID] = fs.temp(sk.ID)
 	}
 	idle := []geometry.SocketID{5, 17, 42, 99, 140}
 	member := map[geometry.SocketID]bool{}

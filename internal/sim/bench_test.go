@@ -49,6 +49,11 @@ func BenchmarkSimSecondCP50(b *testing.B)         { benchRun(b, "CP", 0.5, nil) 
 func BenchmarkSimSecondCP90(b *testing.B)         { benchRun(b, "CP", 0.9, nil) }
 func BenchmarkSimSecondPredictive90(b *testing.B) { benchRun(b, "Predictive", 0.9, nil) }
 
+// BenchmarkSimSecondPredictive50 is the Predictive half of scripts/bench.sh
+// smoke's memo gate: its ratio to BenchmarkSimSecondCF50 stays low only
+// while the own-frequency memo engages.
+func BenchmarkSimSecondPredictive50(b *testing.B) { benchRun(b, "Predictive", 0.5, nil) }
+
 // BenchmarkSimSecondCF90Telemetry is BenchmarkSimSecondCF90 with the full
 // observability layer installed — compare the two to measure the enabled
 // overhead (the PR's contract is ≤5% wall clock; see BENCH_PR3.json).

@@ -307,10 +307,10 @@ func (s *Simulator) tickChannels() (skipped int64) {
 			chipTarget := chipmodel.PeakTemp(amb[i], prevPower, sink)
 			chip[i] = chipmodel.StepWithGain(prevChip, chipTarget, kChip)
 			pewma[i] = units.Watts(chipmodel.StepWithGain(units.Celsius(prevPE), units.Celsius(prevPower), kSink))
-			// SocketTemp(id) inlined on the already-updated ambient and power
-			// EWMA — the identical expression, same FP op order.
-			sockT := amb[i] + units.Celsius(float64(pewma[i])*sink.RExt())
-			hist[i] = chipmodel.StepWithGain(prevHist, sockT, kHist)
+			// The socket temperature on the already-updated ambient and
+			// power EWMA: the one StateVectors expression the serial sweep
+			// evaluates too.
+			hist[i] = chipmodel.StepWithGain(prevHist, s.vec.SocketTemp(id), kHist)
 			target := units.Celsius(0)
 			if busy {
 				target = 1

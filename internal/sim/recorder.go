@@ -66,7 +66,7 @@ func snapshot(s *Simulator, now units.Seconds) ZoneSample {
 		z := srv.Zone(sk.ID)
 		counts[z]++
 		sample.Ambient[z] += float64(s.amb[sk.ID])
-		sample.SockTemp[z] += float64(s.SocketTemp(sk.ID))
+		sample.SockTemp[z] += float64(s.vec.SocketTemp(sk.ID))
 		sample.ChipTemp[z] += float64(s.chip[sk.ID])
 		// Count sockets running a job: Busy also reports dead sockets,
 		// which run nothing at 0 MHz.

@@ -276,7 +276,8 @@ func (s *Simulator) recomputeDoneAt(i int) units.Seconds {
 }
 
 // Simulator runs one configured simulation. It implements sched.State: the
-// StateVectors it hands out are its own structure-of-arrays slices.
+// StateVectors it hands out (vec, built once in New) alias its own
+// structure-of-arrays slices.
 type Simulator struct {
 	cfg Config
 	srv *geometry.Server
@@ -301,8 +302,8 @@ type Simulator struct {
 	// ranges are contiguous ID ranges), so the inner loop is cache-linear
 	// instead of striding through an array of fat structs. powers doubles as
 	// the airflow model's input vector — there is exactly one copy of each
-	// socket's draw — and jobs, amb, hist, leakAt and caps double as the
-	// schedulers' StateVectors.
+	// socket's draw — and jobs, amb, pewma, hist, leakAt and caps double as
+	// the schedulers' StateVectors.
 	jobs   []*job.Job      // running job (nil while idle or dead)
 	amb    []units.Celsius // socket ambient temperature (30 s lag)
 	chip   []units.Celsius // peak chip temperature (5 ms lag)
@@ -318,7 +319,15 @@ type Simulator struct {
 	// applyFaults, and snapshot restore (which rewrites util and capped
 	// wholesale). fmaxAt and the boost-tier config are immutable after New.
 	// Audited against a fresh capFor by the invariant harness.
-	caps  []units.MHz
+	caps []units.MHz
+	// rext is the external thermal resistance of each socket's sink (the
+	// StateVectors.RExt view), fixed in New like leakAt.
+	rext []float64
+	// vec is the schedulers' StateVectors over the slices above, built once
+	// in New: none of them is reallocated afterwards, so State.Vectors is a
+	// pointer return. Its SocketTemp is also the one socket-temperature
+	// expression the sweeps, the history EWMA and the recorder evaluate.
+	vec   sched.StateVectors
 	queue job.Queue
 	// jobPool recycles completed jobs' allocations into later arrivals,
 	// keeping the steady-state event path allocation-free. Safe because a
@@ -434,6 +443,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.hetero = cfg.Server.HasSKUs()
 	s.leakAt = make([]chipmodel.Leakage, n)
 	s.gatedPow = make([]units.Watts, n)
+	s.rext = make([]float64, n)
 	if s.hetero {
 		s.fmaxAt = make([]units.MHz, n)
 	}
@@ -450,6 +460,7 @@ func New(cfg Config) (*Simulator, error) {
 			}
 		}
 		s.leakAt[i] = chipmodel.NewLeakage(tdp)
+		s.rext[i] = s.srv.Sink(id).RExt()
 		s.gatedPow[i] = units.Watts(chipmodel.GatedPowerFrac * float64(tdp))
 		s.sockets[i] = socketState{
 			doneAt: neverDone,
@@ -496,6 +507,8 @@ func New(cfg Config) (*Simulator, error) {
 	for i := range s.caps {
 		s.caps[i] = s.capFor(i, s.util[i])
 	}
+	s.vec = sched.StateVectors{Amb: s.amb, Pewma: s.pewma, RExt: s.rext, Hist: s.hist,
+		Job: s.jobs, Leak: s.leakAt, Cap: s.caps, Epoch: s.laneEpoch}
 	return s, nil
 }
 
@@ -507,14 +520,6 @@ func (s *Simulator) Server() *geometry.Server { return s.srv }
 // Airflow implements sched.State.
 func (s *Simulator) Airflow() *airflow.Model { return s.af }
 
-// SocketTemp implements sched.State: the heatsink-mass (lumped socket)
-// temperature — ambient plus the socket's 30-second power average across the
-// external resistance. This is the "instantaneous socket temperature" the
-// temperature-ordering policies (CF, HF, CN, Balanced, A-Random) read.
-func (s *Simulator) SocketTemp(id geometry.SocketID) units.Celsius {
-	return s.amb[id] + units.Celsius(float64(s.pewma[id])*s.srv.Sink(id).RExt())
-}
-
 // Busy implements sched.State. A dead socket (socket-death fault) reports
 // busy: it cannot accept work, and every scheduler already knows how to step
 // around busy sockets — no policy needs a third state.
@@ -522,10 +527,9 @@ func (s *Simulator) Busy(id geometry.SocketID) bool {
 	return s.jobs[id] != nil || (s.flt != nil && s.flt.dead[id])
 }
 
-// Vectors implements sched.State: the SoA slices themselves, no copying.
-func (s *Simulator) Vectors() sched.StateVectors {
-	return sched.StateVectors{Amb: s.amb, Hist: s.hist, Job: s.jobs, Leak: s.leakAt, Cap: s.caps, Epoch: s.laneEpoch}
-}
+// Vectors implements sched.State: the StateVectors built once in New over
+// the SoA slices themselves, no copying.
+func (s *Simulator) Vectors() *sched.StateVectors { return &s.vec }
 
 // capFor returns socket i's frequency cap at utilization util: the boost
 // budget tier, clamped by the socket's SKU ceiling, and forced to the ladder
@@ -976,10 +980,10 @@ func (s *Simulator) powerManagerTickSerial(dt units.Seconds) {
 		s.chip[i] = chipmodel.StepWithGain(s.chip[i], chipTarget, kChip)
 
 		// 4) The socket power average (the 30 s heatsink-mass state behind
-		// SocketTemp), the history EWMA for A-Random, and the boost-budget
-		// utilization EWMA.
+		// the socket temperature), the history EWMA for A-Random, and the
+		// boost-budget utilization EWMA.
 		s.pewma[i] = units.Watts(chipmodel.StepWithGain(units.Celsius(s.pewma[i]), units.Celsius(s.powers[i]), kSink))
-		s.hist[i] = chipmodel.StepWithGain(s.hist[i], s.SocketTemp(id), kHist)
+		s.hist[i] = chipmodel.StepWithGain(s.hist[i], s.vec.SocketTemp(id), kHist)
 		target := units.Celsius(0)
 		if busy {
 			target = 1

@@ -37,9 +37,25 @@ func (l Lognormal) params() (mu, sigma float64) {
 }
 
 // Sample draws one variate.
-func (l Lognormal) Sample(r *RNG) float64 {
+func (l Lognormal) Sample(r *RNG) float64 { return l.Sampler().Sample(r) }
+
+// LognormalSampler is a Lognormal with the underlying normal's parameters
+// resolved once, for callers that draw from one distribution repeatedly.
+type LognormalSampler struct {
+	mu, sigma float64
+}
+
+// Sampler resolves the distribution's parameters (two logarithms and a
+// square root) for repeated draws.
+func (l Lognormal) Sampler() LognormalSampler {
 	mu, sigma := l.params()
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return LognormalSampler{mu: mu, sigma: sigma}
+}
+
+// Sample draws one variate: the value Lognormal.Sample draws, from the same
+// RNG call.
+func (s LognormalSampler) Sample(r *RNG) float64 {
+	return math.Exp(s.mu + s.sigma*r.NormFloat64())
 }
 
 // Quantile returns the p-quantile (0 < p < 1) of the distribution, computed

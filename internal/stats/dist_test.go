@@ -102,6 +102,26 @@ func TestErfinvSymmetry(t *testing.T) {
 	}
 }
 
+// TestLognormalSamplerMatchesDefinition: the resolved sampler draws exactly
+// the value the per-draw definition exp(mu + sigma*N) gives, from the same
+// RNG call, so resolving the parameters once moves no arrival stream.
+func TestLognormalSamplerMatchesDefinition(t *testing.T) {
+	for _, d := range []Lognormal{{Mean: 0.004, CoV: 0.27}, {Mean: 2, CoV: 0.8}, {Mean: 1, CoV: 2.5}} {
+		sp := d.Sampler()
+		r, ref, viaDist := NewRNG(5), NewRNG(5), NewRNG(5)
+		for i := 0; i < 10000; i++ {
+			sigma2 := math.Log(1 + d.CoV*d.CoV)
+			want := math.Exp(math.Log(d.Mean) - sigma2/2 + math.Sqrt(sigma2)*ref.NormFloat64())
+			if got := sp.Sample(r); got != want {
+				t.Fatalf("Lognormal%+v draw %d: sampler %v, definition %v", d, i, got, want)
+			}
+			if got := d.Sample(viaDist); got != want {
+				t.Fatalf("Lognormal%+v draw %d: Sample %v, definition %v", d, i, got, want)
+			}
+		}
+	}
+}
+
 func TestQuantilePanics(t *testing.T) {
 	d := Lognormal{Mean: 1, CoV: 1}
 	for _, p := range []float64{0, 1, -0.5, 2} {

@@ -86,7 +86,9 @@ func (m Mix) ArrivalRate(numSockets int, load float64) float64 {
 // kept adding finite gaps to it on advance, so a process that ever hit
 // rate zero could never produce another arrival.
 type Arrivals struct {
-	mix      Mix
+	mix Mix
+	// durs[i] is benchmark i's job-length distribution, resolved once.
+	durs     []stats.LognormalSampler
 	rng      *stats.RNG
 	rate     float64
 	next     units.Seconds
@@ -97,6 +99,10 @@ type Arrivals struct {
 // immediately (unless the load is zero, which starts the process disabled).
 func NewArrivals(mix Mix, numSockets int, load float64, rng *stats.RNG) *Arrivals {
 	a := &Arrivals{mix: mix, rng: rng, rate: mix.ArrivalRate(numSockets, load)}
+	a.durs = make([]stats.LognormalSampler, len(mix.benchmarks))
+	for i, b := range mix.benchmarks {
+		a.durs[i] = b.DurationDist().Sampler()
+	}
 	a.advance()
 	return a
 }
@@ -171,7 +177,7 @@ func (a *Arrivals) Next() (at units.Seconds, b Benchmark, dur units.Seconds) {
 func (a *Arrivals) NextIndex() (at units.Seconds, bench int, dur units.Seconds) {
 	at = a.next
 	bench = a.rng.Intn(len(a.mix.benchmarks))
-	dur = a.mix.benchmarks[bench].SampleDuration(a.rng)
+	dur = units.Seconds(a.durs[bench].Sample(a.rng))
 	a.advance()
 	return at, bench, dur
 }

@@ -26,7 +26,14 @@
 #       to the incremental sweep and its gap machinery must cost nothing
 #       measurable; the 10% band only absorbs the shared runner's noise.
 #       Catches engine regressions that the bit-equivalence tests cannot
-#       (they check answers, not wall clock). It then runs the idle SUT
+#       (they check answers, not wall clock). It then runs the SUT at 50%
+#       load under Predictive and under CF the same alternating way
+#       (-benchtime 2x, five rounds) and fails if Predictive's median
+#       exceeds 2.8x CF's: Predictive's own-frequency memo and the
+#       admissibility cache behind it keep it near 2.4x CF on a 2-vCPU
+#       Xeon, against 3.2x for the unmemoized search. A memo that stops
+#       engaging still picks the same sockets, so only wall clock shows
+#       it. Last it runs the idle SUT
 #       second the same two ways (-benchtime 20x) and fails if the default
 #       engine's median exceeds 0.25x serial's: that run is one dead tail,
 #       which the gap advance's dead-tail licence skips at about 0.05x
@@ -100,18 +107,24 @@ smoke)
 		(cd internal/sim && "$tmp/sim.test" -test.run XXX -test.bench "$1" \
 			-test.benchtime "$2" -test.count "${3:-1}" -test.timeout 10m)
 	}
-	out=""
-	for round in 1 2 3 4 5; do
-		if [ $((round % 2)) -eq 1 ]; then
-			order="BenchmarkSimSecondDD360CP90 BenchmarkSimSecondDD360CP90Serial"
-		else
-			order="BenchmarkSimSecondDD360CP90Serial BenchmarkSimSecondDD360CP90"
-		fi
-		for b in $order; do
-			out="$out
-$(simbench "^$b\$" 2x)"
+	# alternate <A> <B> <benchtime>: five rounds of the two benchmarks,
+	# alternating which of them goes first.
+	alternate() {
+		local out="" round order b
+		for round in 1 2 3 4 5; do
+			if [ $((round % 2)) -eq 1 ]; then
+				order="$1 $2"
+			else
+				order="$2 $1"
+			fi
+			for b in $order; do
+				out="$out
+$(simbench "^$b\$" "$3")"
+			done
 		done
-	done
+		echo "$out"
+	}
+	out="$(alternate BenchmarkSimSecondDD360CP90 BenchmarkSimSecondDD360CP90Serial 2x)"
 	echo "$out"
 	serial="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondDD360CP90Serial" {print $2}')"
 	event="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondDD360CP90" {print $2}')"
@@ -123,6 +136,20 @@ $(simbench "^$b\$" 2x)"
 	# Fail when event > 1.10 x serial (integer math: 10*e > 11*s).
 	if [ $((10 * event)) -gt $((11 * serial)) ]; then
 		echo "bench smoke: event engine >10% slower than serial" >&2
+		exit 1
+	fi
+	out="$(alternate BenchmarkSimSecondPredictive50 BenchmarkSimSecondCF50 2x)"
+	echo "$out"
+	cf="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondCF50" {print $2}')"
+	pred="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondPredictive50" {print $2}')"
+	if [ -z "$cf" ] || [ -z "$pred" ]; then
+		echo "bench smoke: missing CF/Predictive medians" >&2
+		exit 1
+	fi
+	echo "CF50 median ${cf} ns/op, Predictive50 median ${pred} ns/op (5 alternating rounds)"
+	# Fail when Predictive > 2.8 x CF (integer math: 10*p > 28*c).
+	if [ $((10 * pred)) -gt $((28 * cf)) ]; then
+		echo "bench smoke: Predictive50 >2.8x CF50: the own-frequency memo did not engage" >&2
 		exit 1
 	fi
 	out="$(simbench 'BenchmarkSimSecondIdle(Serial)?$' 20x 3)"
