@@ -50,7 +50,7 @@ func faultedServer() *geometry.Server {
 
 // faultConfig mirrors the engine-equivalence config with the chaos timeline
 // and heterogeneous SKUs installed.
-func faultConfig(t *testing.T, schedName string, eng EngineConfig, tel *telemetry.Telemetry) Config {
+func faultConfig(t testing.TB, schedName string, eng EngineConfig, tel *telemetry.Telemetry) Config {
 	t.Helper()
 	s, err := sched.ByName(schedName, 1)
 	if err != nil {

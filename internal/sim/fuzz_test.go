@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
+	"densim/internal/units"
 	"densim/internal/workload"
 )
 
@@ -45,5 +47,66 @@ func FuzzSnapshotRestore(f *testing.F) {
 			return // rejected, as almost everything must be
 		}
 		s.Finish()
+	})
+}
+
+// FuzzSnapshotPayload fuzzes the payload decoder itself. Each input is a
+// payload, sealed under a genuine capture's header with a recomputed length
+// and digest, for an overloaded run with the chaos fault timeline and an
+// RNG-carrying policy — so every payload section is live. It restores into
+// a simulator holding a mid-run state and asserts that Restore never panics,
+// that a rejected payload leaves the simulator's Snapshot bytes unchanged,
+// and that an accepted one re-encodes to exactly the sealed bytes.
+func FuzzSnapshotPayload(f *testing.F) {
+	cfg := func(tb testing.TB) Config {
+		c := faultConfig(tb, "A-Random", EngineConfig{}, nil)
+		c.Load = 1.6
+		return c
+	}
+	capture := func(at units.Seconds) []byte {
+		s, err := New(cfg(f))
+		if err != nil {
+			f.Fatal(err)
+		}
+		s.RunTo(at)
+		data, err := s.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	mid := capture(0.25)
+	header, _ := splitCapture(mid)
+	for _, at := range []units.Seconds{0, 0.05, 0.25, 0.35} {
+		_, payload := splitCapture(capture(at))
+		f.Add(payload)
+		f.Add(payload[:len(payload)/2])
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := New(cfg(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(mid); err != nil {
+			t.Fatal(err)
+		}
+		before, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed := reseal(header, payload)
+		err = s.Restore(sealed)
+		after, serr := s.Snapshot()
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if err != nil && !bytes.Equal(before, after) {
+			t.Fatalf("rejected Restore (%v) changed the simulator's state", err)
+		}
+		if err == nil && !bytes.Equal(after, sealed) {
+			t.Fatal("accepted payload does not re-encode to itself")
+		}
 	})
 }

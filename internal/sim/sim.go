@@ -410,24 +410,11 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{
-		cfg:     cfg,
-		srv:     cfg.Server,
-		af:      af,
-		sockets: make([]socketState, cfg.Server.NumSockets()),
-		amb:     make([]units.Celsius, cfg.Server.NumSockets()),
-		chip:    make([]units.Celsius, cfg.Server.NumSockets()),
-		hist:    make([]units.Celsius, cfg.Server.NumSockets()),
-		util:    make([]float64, cfg.Server.NumSockets()),
-		pewma:   make([]units.Watts, cfg.Server.NumSockets()),
-		freq:    make([]units.MHz, cfg.Server.NumSockets()),
-		powers:  make([]units.Watts, cfg.Server.NumSockets()),
-		jobs:    make([]*job.Job, cfg.Server.NumSockets()),
-		col:     metrics.NewCollector(),
-		ambBuf:  make([]units.Celsius, cfg.Server.NumSockets()),
-		idleSet: make([]geometry.SocketID, cfg.Server.NumSockets(), cfg.Server.NumSockets()),
-		comp:    newCompletionIndex(cfg.Server.NumSockets()),
-	}
+	s := &Simulator{cfg: cfg, srv: cfg.Server, af: af}
+	s.allocState(cfg.Server.NumSockets())
+	s.ambBuf = make([]units.Celsius, cfg.Server.NumSockets())
+	s.idleSet = make([]geometry.SocketID, cfg.Server.NumSockets(), cfg.Server.NumSockets())
+	s.comp = newCompletionIndex(cfg.Server.NumSockets())
 	for i := range s.idleSet {
 		s.idleSet[i] = geometry.SocketID(i)
 	}
@@ -510,6 +497,22 @@ func New(cfg Config) (*Simulator, error) {
 	s.vec = sched.StateVectors{Amb: s.amb, Pewma: s.pewma, RExt: s.rext, Hist: s.hist,
 		Job: s.jobs, Leak: s.leakAt, Cap: s.caps, Epoch: s.laneEpoch}
 	return s, nil
+}
+
+// allocState gives s zeroed per-socket state for n sockets and an empty
+// collector: the fields a snapshot payload carries, shared by New and
+// Restore's staging copy.
+func (s *Simulator) allocState(n int) {
+	s.sockets = make([]socketState, n)
+	s.amb = make([]units.Celsius, n)
+	s.chip = make([]units.Celsius, n)
+	s.hist = make([]units.Celsius, n)
+	s.util = make([]float64, n)
+	s.pewma = make([]units.Watts, n)
+	s.freq = make([]units.MHz, n)
+	s.powers = make([]units.Watts, n)
+	s.jobs = make([]*job.Job, n)
+	s.col = metrics.NewCollector()
 }
 
 // sched.State implementation -------------------------------------------------

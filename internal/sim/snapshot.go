@@ -13,23 +13,25 @@
 //
 //	magic "DSNP" | version u32 | cfgSig [32]byte | payloadLen u64 | payload | sha256 [32]byte
 //
-// cfgSig is a SHA-256 over the run's identity — topology, airflow, workload,
-// scheduler name, thermal constants, seeds — excluding Duration and
-// DrainLimit: the pre-snapshot trajectory is identical for any horizon that
-// has not ended yet (arrival admissibility is re-evaluated against the live
-// config on every query), so one warmup snapshot serves runs of different
-// lengths. The trailing digest covers every preceding byte. Restore fails
-// closed: a wrong magic, version, config signature, truncation, or a single
-// flipped bit anywhere is rejected before any state is touched.
+// The payload is described once, by snapCodec.state: one walk over every
+// field that encodes on Snapshot and decodes on Restore, so a field is named
+// in exactly one place. cfgSig is a SHA-256 over the run's identity —
+// topology, airflow, workload, scheduler name, thermal constants, seeds —
+// excluding Duration and DrainLimit: the pre-snapshot trajectory is
+// identical for any horizon that has not ended yet (arrival admissibility is
+// re-evaluated against the live config on every query), so one warmup
+// snapshot serves runs of different lengths. The trailing digest covers
+// every preceding byte. Restore fails closed: a wrong magic, version, config
+// signature, truncation, a single flipped bit anywhere, or a digest-valid
+// payload that does not describe a reachable state is rejected before any
+// state is touched.
 package sim
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
 
 	"densim/internal/geometry"
 	"densim/internal/job"
@@ -45,6 +47,9 @@ var snapshotMagic = [4]byte{'D', 'S', 'N', 'P'}
 
 const snapshotVersion uint32 = 2
 
+// snapHeaderLen is magic + version + cfgSig + payloadLen.
+const snapHeaderLen = 4 + 4 + 32 + 8
+
 // sourceSnapshotter is the accessor pair a workload source must provide to
 // be snapshottable; workload.Arrivals implements it. Sources without it
 // (e.g. recorded-trace players with their own cursor) make the run refuse to
@@ -52,18 +57,6 @@ const snapshotVersion uint32 = 2
 type sourceSnapshotter interface {
 	SnapshotState() (rngState uint64, next units.Seconds)
 	RestoreState(rngState uint64, next units.Seconds)
-}
-
-// sourceIdentifier lets a custom workload source contribute an identity hash
-// to the config signature. Without it, two runs differing only in their
-// injected sources share a signature — the fleet layer feeds each chassis a
-// distinct pre-dispatched arrival slice through the same source type, and a
-// warm-start cache keyed on the signature alone would silently restore one
-// chassis's warmup into another. Sources that implement it (fleet replay
-// sources hash their arrival records) get per-content signatures; sources
-// that don't keep the historical signature, so existing captures stay valid.
-type sourceIdentifier interface {
-	SourceSignature() uint64
 }
 
 // snapshotable reports (with a reason) whether this run supports snapshots.
@@ -80,106 +73,6 @@ func (s *Simulator) snapshotable() error {
 	return nil
 }
 
-// cfgSig hashes the run's identity. Two simulators with equal signatures
-// follow bit-identical trajectories up to any instant both horizons cover,
-// so a snapshot from one resumes exactly in the other.
-func (s *Simulator) cfgSig() [32]byte {
-	var w snapWriter
-	c := &s.cfg
-	// Topology.
-	w.str(s.srv.Name)
-	w.u64(uint64(s.srv.Rows))
-	w.u64(uint64(s.srv.Lanes))
-	w.u64(uint64(s.srv.Depth))
-	for _, x := range s.srv.XPositions {
-		w.f64(float64(x))
-	}
-	for _, sk := range s.srv.Sockets() {
-		w.u64(uint64(sk.Row))
-		w.u64(uint64(sk.Lane))
-		w.u64(uint64(sk.Pos))
-		w.u64(uint64(s.srv.Sink(sk.ID)))
-	}
-	w.f64(float64(s.srv.RowPitch))
-	w.f64(float64(s.srv.LanePitch))
-	// Airflow.
-	w.f64(float64(c.Airflow.Inlet))
-	w.f64(float64(c.Airflow.FlowPerLane))
-	w.f64(c.Airflow.Concentration)
-	w.f64(float64(c.Airflow.MixLength))
-	w.f64(float64(c.Airflow.AuxPerSocket))
-	w.f64(c.Airflow.Air.DensityKgM3)
-	w.f64(c.Airflow.Air.SpecificHeatJKgK)
-	// Policy and workload.
-	w.str(c.Scheduler.Name())
-	w.str(c.Mix.Name())
-	for _, b := range c.Mix.Benchmarks() {
-		w.bench(b)
-	}
-	w.f64(c.Load)
-	w.u64(c.Seed)
-	if c.Source != nil {
-		w.u8(1) // custom source: identity beyond the interface is opaque...
-		if ident, ok := c.Source.(sourceIdentifier); ok {
-			w.u64(ident.SourceSignature()) // ...unless the source hashes itself
-		}
-	} else {
-		w.u8(0)
-	}
-	// Timing and thermal constants. Duration and DrainLimit are deliberately
-	// absent — see the package comment.
-	w.f64(float64(c.Warmup))
-	w.f64(float64(c.TickPeriod))
-	w.f64(float64(c.TDP))
-	w.f64(float64(c.HistoryTau))
-	w.f64(float64(c.SinkTau))
-	w.f64(float64(c.ChipTau))
-	if c.DisableBoost {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.f64(float64(c.BoostWindow))
-	w.f64(boostTier1Util)
-	w.f64(boostTier2Util)
-	w.f64(float64(c.Migration.Period))
-	w.f64(float64(c.Migration.Cost))
-	w.f64(c.Migration.MinGainMHz)
-	w.f64(c.Migration.MinRemainingWork)
-	// Heterogeneous SKUs: a per-cartridge override changes the trajectory
-	// from the first tick, so the per-socket (TDP, FMax) pairs are identity.
-	if s.hetero {
-		w.u8(1)
-		for i := range s.sockets {
-			sku := s.srv.SKU(geometry.SocketID(i))
-			w.f64(float64(sku.TDP))
-			w.f64(float64(sku.FMax))
-		}
-	} else {
-		w.u8(0)
-	}
-	// Fault timeline: the canonical encoding covers every semantic field, so
-	// a capture can never restore under a different fault schedule. A run
-	// without faults contributes a zero-length marker.
-	fb := c.Faults.Canonical()
-	w.u32(uint32(len(fb)))
-	w.buf = append(w.buf, fb...)
-	return sha256.Sum256(w.buf)
-}
-
-// SnapshotKey returns a filesystem-safe identity for this run's snapshots:
-// the hex form of the configuration signature. Two simulators share a key
-// exactly when a snapshot from one restores into the other, so the key is
-// the natural cache-file name for warm-start layers (internal/experiments'
-// WarmDir). It refuses for the same reasons Snapshot does.
-func (s *Simulator) SnapshotKey() (string, error) {
-	if err := s.snapshotable(); err != nil {
-		return "", err
-	}
-	sig := s.cfgSig()
-	return hex.EncodeToString(sig[:]), nil
-}
-
 // Snapshot serializes the simulator's full mutable state. Call it at a tick
 // boundary (e.g. after RunTo); the capture includes every job in flight, all
 // thermal state, every metrics accumulator, and all RNG stream positions.
@@ -187,115 +80,30 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	if err := s.snapshotable(); err != nil {
 		return nil, err
 	}
-	var p snapWriter
-	// Clock and counters.
-	p.f64(float64(s.now))
-	p.u64(uint64(s.nextID))
-	p.u64(uint64(s.arrived))
-	p.u64(uint64(s.migrations))
-	p.f64(float64(s.nextMigration))
-	p.u64(s.telTicks)
-	if s.ended {
-		p.u8(1)
-	} else {
-		p.u8(0)
-	}
-	// Sockets.
-	p.u64(uint64(len(s.sockets)))
-	for i := range s.sockets {
-		st := &s.sockets[i]
-		if j := s.jobs[i]; j != nil {
-			p.u8(1)
-			p.job(j)
-		} else {
-			p.u8(0)
-		}
-		p.f64(float64(s.freq[i]))
-		p.f64(float64(s.amb[i]))
-		p.f64(float64(s.chip[i]))
-		p.f64(float64(s.hist[i]))
-		p.f64(s.util[i])
-		p.f64(float64(s.pewma[i]))
-		p.f64(float64(s.powers[i]))
-		p.f64(float64(st.lastUpdate))
-		p.f64(float64(st.doneAt))
-	}
-	// Pending queue, FIFO order.
-	p.u64(uint64(s.queue.Len()))
-	for i := 0; i < s.queue.Len(); i++ {
-		p.job(s.queue.At(i))
-	}
-	// Workload source.
-	rngState, next := s.source.(sourceSnapshotter).SnapshotState()
-	p.u64(rngState)
-	p.f64(float64(next))
-	// Scheduler RNG stream, when the policy carries one.
-	if rc, ok := s.cfg.Scheduler.(sched.RNGCarrier); ok {
-		p.u8(1)
-		p.u64(rc.RNGState())
-	} else {
-		p.u8(0)
-	}
-	// Metrics accumulators.
-	p.collector(s.col.State())
-	// Fault runtime (presence is implied by the config signature, but the
-	// flag keeps the payload self-describing).
-	if f := s.flt; f != nil {
-		p.u8(1)
-		p.u64(uint64(f.cursor))
-		p.u64(uint64(f.working))
-		p.f64(f.derate)
-		p.f64(f.flowFactor)
-		p.f64(float64(f.fanPowerW))
-		p.f64(float64(f.fanEnergyJ))
-		p.f64(float64(f.curInlet))
-		if f.rampActive {
-			p.u8(1)
-		} else {
-			p.u8(0)
-		}
-		p.f64(float64(f.rampStart))
-		p.f64(float64(f.rampLen))
-		p.f64(float64(f.rampFrom))
-		p.f64(float64(f.rampTo))
-		p.u64(uint64(f.requeues))
-		for i := range f.dead {
-			b := uint8(0)
-			if f.dead[i] {
-				b |= 1
-			}
-			if f.capped[i] {
-				b |= 2
-			}
-			p.u8(b)
-		}
-	} else {
-		p.u8(0)
-	}
-
-	sig := s.cfgSig()
-	var w snapWriter
-	w.buf = append(w.buf, snapshotMagic[:]...)
-	w.u32(snapshotVersion)
-	w.buf = append(w.buf, sig[:]...)
-	w.u64(uint64(len(p.buf)))
-	w.buf = append(w.buf, p.buf...)
-	digest := sha256.Sum256(w.buf)
-	w.buf = append(w.buf, digest[:]...)
-	return w.buf, nil
+	c := &snapCodec{enc: true}
+	version, sig := snapshotVersion, s.cfgSig()
+	c.buf = append(c.buf, snapshotMagic[:]...)
+	u32(c, &version)
+	c.buf = append(c.buf, sig[:]...)
+	c.buf = append(c.buf, make([]byte, 8)...) // payloadLen, patched below
+	c.state(s, s.source.(sourceSnapshotter), s.schedRNG())
+	binary.LittleEndian.PutUint64(c.buf[snapHeaderLen-8:], uint64(len(c.buf)-snapHeaderLen))
+	digest := sha256.Sum256(c.buf)
+	return append(c.buf, digest[:]...), nil
 }
 
 // Restore overwrites the simulator's state with a Snapshot capture. The
 // simulator must have been built from an equivalent Config (equal cfgSig;
-// Duration and DrainLimit may differ). Every derived structure — completion
-// heap, idle set, engine caches — is rebuilt; on any validation failure the
-// simulator is left untouched.
+// Duration and DrainLimit may differ). The payload is decoded twice: first
+// into a throwaway staging simulator, a pass that does all the validation,
+// and only then into this one. Every derived structure — completion heap,
+// idle set, caps, airflow model, engine caches — is then rebuilt. On any
+// validation failure the simulator is left untouched.
 func (s *Simulator) Restore(data []byte) error {
 	if err := s.snapshotable(); err != nil {
 		return err
 	}
-	const headerLen = 4 + 4 + 32 + 8
-	if len(data) < headerLen+sha256.Size {
+	if len(data) < snapHeaderLen+sha256.Size {
 		return fmt.Errorf("sim: snapshot truncated (%d bytes)", len(data))
 	}
 	if [4]byte(data[:4]) != snapshotMagic {
@@ -305,414 +113,406 @@ func (s *Simulator) Restore(data []byte) error {
 	if sha256.Sum256(body) != [sha256.Size]byte(tail) {
 		return fmt.Errorf("sim: snapshot digest mismatch (corrupt or tampered)")
 	}
-	r := snapReader{buf: data[4:]}
-	if v := r.u32(); v != snapshotVersion {
+	if v := binary.LittleEndian.Uint32(data[4:]); v != snapshotVersion {
 		return fmt.Errorf("sim: snapshot version %d, want %d", v, snapshotVersion)
 	}
-	var sig [32]byte
-	copy(sig[:], r.bytes(32))
-	if sig != s.cfgSig() {
+	if sig := s.cfgSig(); [32]byte(data[8:40]) != sig {
 		return fmt.Errorf("sim: snapshot config signature mismatch (the capture is from a different run configuration)")
 	}
-	payloadLen := r.u64()
-	if r.err != nil {
-		return fmt.Errorf("sim: snapshot header truncated")
-	}
-	if got := uint64(len(data) - headerLen - sha256.Size); got != payloadLen {
-		return fmt.Errorf("sim: snapshot payload length %d, header says %d", got, payloadLen)
-	}
-	r.buf = r.buf[:len(r.buf)-sha256.Size] // digest is not payload
-
-	// Decode into locals first: nothing below touches the simulator until
-	// the whole payload has parsed cleanly.
-	now := units.Seconds(r.f64())
-	nextID := job.ID(r.u64())
-	arrived := int(r.u64())
-	migrations := int(r.u64())
-	nextMigration := units.Seconds(r.f64())
-	telTicks := r.u64()
-	ended := r.u8()
-	if r.err == nil && ended > 1 {
-		return fmt.Errorf("sim: snapshot ended flag %d", ended)
-	}
-	nSockets := int(r.u64())
-	if nSockets != len(s.sockets) {
-		return fmt.Errorf("sim: snapshot has %d sockets, topology has %d", nSockets, len(s.sockets))
-	}
-	type sockSnap struct {
-		j               *job.Job
-		state           socketState
-		freq            units.MHz
-		amb, chip, hist units.Celsius
-		util            float64
-		pewma, power    units.Watts
-	}
-	socks := make([]sockSnap, nSockets)
-	for i := range socks {
-		sn := &socks[i]
-		st := &sn.state
-		if busy := r.u8(); busy == 1 {
-			sn.j = r.job()
-		} else if busy != 0 {
-			return fmt.Errorf("sim: snapshot socket %d has busy flag %d", i, busy)
-		}
-		sn.freq = units.MHz(r.f64())
-		sn.amb = units.Celsius(r.f64())
-		sn.chip = units.Celsius(r.f64())
-		sn.hist = units.Celsius(r.f64())
-		sn.util = r.f64()
-		sn.pewma = units.Watts(r.f64())
-		sn.power = units.Watts(r.f64())
-		st.lastUpdate = units.Seconds(r.f64())
-		st.doneAt = units.Seconds(r.f64())
-	}
-	nQueued := int(r.u64())
-	if nQueued < 0 || nQueued > 1<<24 {
-		return fmt.Errorf("sim: snapshot queue length %d is implausible", nQueued)
-	}
-	queued := make([]*job.Job, nQueued)
-	for i := range queued {
-		queued[i] = r.job()
-	}
-	srcRNG := r.u64()
-	srcNext := units.Seconds(r.f64())
-	hasSchedRNG := r.u8()
-	var schedRNG uint64
-	if hasSchedRNG == 1 {
-		schedRNG = r.u64()
-	} else if hasSchedRNG != 0 {
-		return fmt.Errorf("sim: snapshot scheduler-RNG flag %d", hasSchedRNG)
-	}
-	colState, colErr := r.collector()
-	if colErr != nil {
-		return colErr
-	}
-	type faultSnap struct {
-		cursor, working     int
-		derate, flowFactor  float64
-		fanPowerW           units.Watts
-		fanEnergyJ          units.Joules
-		curInlet            units.Celsius
-		rampActive          bool
-		rampStart, rampLen  units.Seconds
-		rampFrom, rampTo    units.Celsius
-		requeues, deadCount int
-		dead, capped        []bool
-	}
-	var fs *faultSnap
-	hasFaults := r.u8()
-	if hasFaults > 1 {
-		return fmt.Errorf("sim: snapshot fault flag %d", hasFaults)
-	}
-	if (hasFaults == 1) != (s.flt != nil) {
-		return fmt.Errorf("sim: snapshot fault-state presence does not match the configured timeline")
-	}
-	if hasFaults == 1 {
-		fs = &faultSnap{
-			cursor:     int(r.u64()),
-			working:    int(r.u64()),
-			derate:     r.f64(),
-			flowFactor: r.f64(),
-			fanPowerW:  units.Watts(r.f64()),
-			fanEnergyJ: units.Joules(r.f64()),
-			curInlet:   units.Celsius(r.f64()),
-		}
-		rampFlag := r.u8()
-		if rampFlag > 1 {
-			return fmt.Errorf("sim: snapshot ramp flag %d", rampFlag)
-		}
-		fs.rampActive = rampFlag == 1
-		fs.rampStart = units.Seconds(r.f64())
-		fs.rampLen = units.Seconds(r.f64())
-		fs.rampFrom = units.Celsius(r.f64())
-		fs.rampTo = units.Celsius(r.f64())
-		fs.requeues = int(r.u64())
-		if fs.cursor < 0 || fs.cursor > len(s.flt.steps) {
-			return fmt.Errorf("sim: snapshot fault cursor %d outside timeline of %d steps", fs.cursor, len(s.flt.steps))
-		}
-		fs.dead = make([]bool, nSockets)
-		fs.capped = make([]bool, nSockets)
-		for i := 0; i < nSockets; i++ {
-			b := r.u8()
-			if b > 3 {
-				return fmt.Errorf("sim: snapshot socket %d fault bits %d", i, b)
-			}
-			fs.dead[i] = b&1 != 0
-			fs.capped[i] = b&2 != 0
-			if fs.dead[i] {
-				fs.deadCount++
-			}
-			if fs.dead[i] && socks[i].j != nil {
-				return fmt.Errorf("sim: snapshot socket %d is both dead and busy", i)
-			}
-		}
-	}
-	if r.err != nil {
-		return fmt.Errorf("sim: snapshot payload truncated")
-	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("sim: snapshot payload has %d trailing bytes", len(r.buf))
-	}
-	if _, ok := s.cfg.Scheduler.(sched.RNGCarrier); ok != (hasSchedRNG == 1) {
-		return fmt.Errorf("sim: snapshot scheduler-RNG presence does not match the configured policy")
+	payload := body[snapHeaderLen:]
+	if n := binary.LittleEndian.Uint64(data[snapHeaderLen-8:]); n != uint64(len(payload)) {
+		return fmt.Errorf("sim: snapshot payload length %d, header says %d", len(payload), n)
 	}
 
-	// Commit. Overwrite primary state, then rebuild every derived structure.
-	s.now = now
-	s.nextID = nextID
-	s.arrived = arrived
-	s.migrations = migrations
-	s.nextMigration = nextMigration
-	s.telTicks = telTicks
-	s.ended = ended == 1
+	var stagedRNG sched.RNGCarrier
+	if s.schedRNG() != nil {
+		stagedRNG = &stream{}
+	}
+	if err := decodeState(payload, s.staging(), &stream{}, stagedRNG); err != nil {
+		return err
+	}
+	if err := decodeState(payload, s, s.source.(sourceSnapshotter), s.schedRNG()); err != nil {
+		// Validation reads only the payload and the immutable config, which
+		// the staging pass shares, so the bytes it accepted cannot fail now.
+		panic(fmt.Sprintf("sim: snapshot accepted by staging, rejected on commit: %v", err))
+	}
+
+	// Rebuild every structure derived from the decoded state.
 	s.busyCount = 0
 	s.idleSet = s.idleSet[:0]
+	if s.flt != nil {
+		s.flt.deadCount = 0
+	}
 	for i := range s.sockets {
-		sn := &socks[i]
-		st := &sn.state
-		st.placement = s.sockets[i].placement // immutable, from topology
-		s.sockets[i] = *st
-		s.jobs[i] = sn.j
-		s.freq[i] = sn.freq
-		s.amb[i] = sn.amb
-		s.chip[i] = sn.chip
-		s.hist[i] = sn.hist
-		s.util[i] = sn.util
-		s.pewma[i] = sn.pewma
-		s.powers[i] = sn.power
-		s.comp.update(i, st.doneAt)
-		if sn.j != nil {
+		s.comp.update(i, s.sockets[i].doneAt)
+		switch {
+		case s.jobs[i] != nil:
 			s.busyCount++
-		} else if fs == nil || !fs.dead[i] {
-			// Dead sockets are neither busy nor idle: they stay out of the
-			// scheduler's candidate set.
+		case s.flt != nil && s.flt.dead[i]:
+			s.flt.deadCount++ // neither busy nor idle: never a candidate
+		default:
 			s.idleSet = append(s.idleSet, geometry.SocketID(i))
 		}
 		s.eng.invalidatePick(i)
 	}
-	for s.queue.Len() > 0 {
-		s.queue.Pop()
-	}
-	for _, j := range queued {
-		s.queue.Push(j)
-	}
-	s.source.(sourceSnapshotter).RestoreState(srcRNG, srcNext)
-	if rc, ok := s.cfg.Scheduler.(sched.RNGCarrier); ok {
-		rc.SetRNGState(schedRNG)
-	}
-	s.col.SetState(colState)
-	if fs != nil {
-		f := s.flt
-		f.cursor = fs.cursor
-		f.working = fs.working
-		f.derate = fs.derate
-		f.flowFactor = fs.flowFactor
-		f.fanPowerW = fs.fanPowerW
-		f.fanEnergyJ = fs.fanEnergyJ
-		f.curInlet = fs.curInlet
-		f.rampActive = fs.rampActive
-		f.rampStart = fs.rampStart
-		f.rampLen = fs.rampLen
-		f.rampFrom = fs.rampFrom
-		f.rampTo = fs.rampTo
-		f.requeues = fs.requeues
-		copy(f.dead, fs.dead)
-		copy(f.capped, fs.capped)
-		f.deadCount = fs.deadCount
-		// Re-apply the fault physics: the airflow model must match the
-		// restored flow factor and inlet. Rebuilding from the original config
-		// is deterministic, so a factor-1 base-inlet rebuild is bit-identical
-		// to the model New constructed.
+	if s.flt != nil {
+		// The airflow model must match the restored flow factor and inlet;
+		// a factor-1 base-inlet rebuild is bit-identical to New's model.
 		s.applyFlowPhysics()
 	}
-	// The caps mirror is derived from the just-restored util and capped
-	// vectors: rebuild it wholesale.
 	for i := range s.caps {
 		s.caps[i] = s.capFor(i, s.util[i])
 	}
-	// Engine caches: every lane's cached ambient is stale relative to the
-	// restored powers, so mark everything dirty and nothing settled; the
-	// first sweep recomputes from scratch, exactly like a cold start. Lane
-	// epochs advance too: a restore can rewind state under an unchanged
-	// epoch, which would otherwise let a scheduler replay a stale score.
+	// Every cached lane ambient is stale: the first sweep recomputes all of
+	// them, like a cold start. Epochs advance too, or a scheduler could
+	// replay a score cached before the restore rewound its inputs.
 	s.bumpAllLanes()
-	for ch := range s.eng.dirty {
-		s.eng.dirty[ch] = true
-	}
-	for ch := range s.eng.laneSettled {
-		s.eng.laneSettled[ch] = false
-	}
+	s.allDirty()
 	return nil
 }
 
-// --- binary encoding helpers -------------------------------------------------
-
-// snapWriter appends little-endian primitives to a growing buffer.
-type snapWriter struct {
-	buf []byte
+// schedRNG returns the policy's RNG stream, nil when it carries none.
+func (s *Simulator) schedRNG() sched.RNGCarrier {
+	rc, _ := s.cfg.Scheduler.(sched.RNGCarrier)
+	return rc
 }
 
-func (w *snapWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *snapWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *snapWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *snapWriter) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *snapWriter) str(v string) {
-	w.u32(uint32(len(v)))
-	w.buf = append(w.buf, v...)
-}
-
-func (w *snapWriter) bench(b workload.Benchmark) {
-	w.str(b.Name)
-	w.u32(uint32(b.Class))
-	w.f64(float64(b.MeanDuration))
-	w.f64(float64(b.PowerAt90C))
-	w.f64(b.FreqSensitivity)
-	w.f64(float64(b.SocketTDP))
-}
-
-func (w *snapWriter) job(j *job.Job) {
-	w.u64(uint64(j.ID))
-	w.bench(j.Benchmark)
-	w.f64(float64(j.Arrival))
-	w.f64(float64(j.NominalDuration))
-	w.f64(float64(j.Work))
-	w.f64(float64(j.Started))
-	w.f64(float64(j.Done))
-}
-
-func (w *snapWriter) welford(ws metrics.WelfordState) {
-	w.f64(ws.WSum)
-	w.f64(ws.Mean)
-	w.f64(ws.M2)
-}
-
-func (w *snapWriter) collector(st metrics.CollectorState) {
-	w.u64(uint64(st.Completed))
-	w.welford(st.SojournExp)
-	w.welford(st.ServiceExp)
-	w.welford(st.WaitSec)
-	w.f64(st.TotalWork)
-	for _, v := range st.RegionWork {
-		w.f64(v)
+// staging returns a throwaway simulator shaped like s — the same topology,
+// airflow and fault timeline, fresh state — for Restore's validating pass.
+func (s *Simulator) staging() *Simulator {
+	t := &Simulator{srv: s.srv}
+	t.cfg.Airflow = s.cfg.Airflow
+	t.allocState(len(s.sockets))
+	if f := s.flt; f != nil {
+		n := len(f.dead)
+		t.flt = &faultState{spec: f.spec, steps: f.steps, dead: make([]bool, n), capped: make([]bool, n)}
 	}
-	w.u32(uint32(len(st.ZoneWork)))
-	for _, zv := range st.ZoneWork {
-		w.u64(uint64(int64(zv.Zone)))
-		w.f64(zv.Value)
-	}
-	for _, wf := range st.RegionFreq {
-		w.welford(wf)
-	}
-	w.u32(uint32(len(st.ZoneFreq)))
-	for _, zw := range st.ZoneFreq {
-		w.u64(uint64(int64(zw.Zone)))
-		w.welford(zw.W)
-	}
-	w.f64(st.EnergyJ)
-	w.f64(float64(st.Start))
-	w.f64(float64(st.End))
-	w.f64(st.BusySeconds)
-	w.f64(st.BoostSeconds)
+	return t
 }
 
-// snapReader consumes little-endian primitives with a latched error: after
-// the first short read every subsequent read returns zero values and the
-// caller checks err once.
-type snapReader struct {
+// stream holds a staged RNG stream position: Restore's validating pass
+// decodes the workload source's and the policy's positions into it.
+type stream struct {
+	state uint64
+	next  units.Seconds
+}
+
+func (x *stream) SnapshotState() (uint64, units.Seconds)        { return x.state, x.next }
+func (x *stream) RestoreState(state uint64, next units.Seconds) { x.state, x.next = state, next }
+func (x *stream) RNGState() uint64                              { return x.state }
+func (x *stream) SetRNGState(state uint64)                      { x.state = state }
+
+// decodeState decodes a whole payload into t, src and rng.
+func decodeState(payload []byte, t *Simulator, src sourceSnapshotter, rng sched.RNGCarrier) error {
+	c := &snapCodec{buf: payload}
+	c.state(t, src, rng)
+	if c.err == nil && len(c.buf) != 0 {
+		c.err = fmt.Errorf("sim: snapshot payload has %d trailing bytes", len(c.buf))
+	}
+	return c.err
+}
+
+// state is the payload: every field of the simulator's mutable state, in
+// wire order. Sockets are interleaved records (busy flag and job, then nine
+// floats), followed by the queue, the source and scheduler RNG streams, the
+// collector and the fault runtime. Encoding reads t, src and rng; decoding
+// writes them and validates everything a reachable state guarantees.
+func (c *snapCodec) state(t *Simulator, src sourceSnapshotter, rng sched.RNGCarrier) {
+	// Clock and counters.
+	f64(c, &t.now)
+	u64(c, &t.nextID)
+	u64(c, &t.arrived)
+	u64(c, &t.migrations)
+	f64(c, &t.nextMigration)
+	u64(c, &t.telTicks)
+	c.flags("ended", &t.ended)
+	// Sockets.
+	n := len(t.sockets)
+	u64(c, &n)
+	c.check(n == len(t.sockets), "sim: snapshot has %d sockets, topology has %d", n, len(t.sockets))
+	for i := range t.sockets {
+		busy := t.jobs[i] != nil
+		c.flags("busy", &busy)
+		if busy {
+			c.job(&t.jobs[i])
+		} else if !c.enc {
+			t.jobs[i] = nil
+		}
+		f64(c, &t.freq[i])
+		f64(c, &t.amb[i])
+		f64(c, &t.chip[i])
+		f64(c, &t.hist[i])
+		f64(c, &t.util[i])
+		f64(c, &t.pewma[i])
+		f64(c, &t.powers[i])
+		f64(c, &t.sockets[i].lastUpdate)
+		f64(c, &t.sockets[i].doneAt)
+	}
+	// Pending queue, FIFO order.
+	nq := t.queue.Len()
+	c.count(&nq, true, minJobRecord, "queue")
+	if !c.enc {
+		for t.queue.Len() > 0 {
+			t.queue.Pop()
+		}
+	}
+	for i := 0; i < nq && c.err == nil; i++ {
+		var j *job.Job
+		if c.enc {
+			j = t.queue.At(i)
+		}
+		c.job(&j)
+		if !c.enc {
+			t.queue.Push(j)
+		}
+	}
+	// Workload source and scheduler RNG streams.
+	srcRNG, srcNext := src.SnapshotState()
+	u64(c, &srcRNG)
+	f64(c, &srcNext)
+	hasRNG := rng != nil
+	c.flags("scheduler-RNG", &hasRNG)
+	c.check(hasRNG == (rng != nil), "sim: snapshot scheduler-RNG presence does not match the configured policy")
+	if hasRNG && rng != nil {
+		state := rng.RNGState()
+		u64(c, &state)
+		if !c.enc {
+			rng.SetRNGState(state)
+		}
+	}
+	if !c.enc {
+		src.RestoreState(srcRNG, srcNext)
+	}
+	c.collector(t.col, t.srv.Depth)
+	c.faults(t)
+}
+
+// collector codes the metrics accumulators. Zone tables must name zones in
+// [1, depth], strictly ascending: the collector indexes dense slices by zone.
+func (c *snapCodec) collector(col *metrics.Collector, depth int) {
+	var st metrics.CollectorState
+	if c.enc {
+		st = col.State()
+	}
+	u64(c, &st.Completed)
+	c.welford(&st.SojournExp)
+	c.welford(&st.ServiceExp)
+	c.welford(&st.WaitSec)
+	f64(c, &st.TotalWork)
+	for i := range st.RegionWork {
+		f64(c, &st.RegionWork[i])
+	}
+	n := len(st.ZoneWork)
+	c.count(&n, false, 8+8, "zone-work")
+	if !c.enc {
+		st.ZoneWork = make([]metrics.ZoneValue, n)
+	}
+	prev := 0
+	for i := range st.ZoneWork {
+		c.zone(&st.ZoneWork[i].Zone, &prev, depth)
+		f64(c, &st.ZoneWork[i].Value)
+	}
+	for i := range st.RegionFreq {
+		c.welford(&st.RegionFreq[i])
+	}
+	n = len(st.ZoneFreq)
+	c.count(&n, false, 8+3*8, "zone-freq")
+	if !c.enc {
+		st.ZoneFreq = make([]metrics.ZoneWelford, n)
+	}
+	prev = 0
+	for i := range st.ZoneFreq {
+		c.zone(&st.ZoneFreq[i].Zone, &prev, depth)
+		c.welford(&st.ZoneFreq[i].W)
+	}
+	f64(c, &st.EnergyJ)
+	f64(c, &st.Start)
+	f64(c, &st.End)
+	f64(c, &st.BusySeconds)
+	f64(c, &st.BoostSeconds)
+	if !c.enc && c.err == nil {
+		col.SetState(st)
+	}
+}
+
+// faults codes the fault runtime. Its presence is implied by the config
+// signature, but the flag keeps the payload self-describing.
+func (c *snapCodec) faults(t *Simulator) {
+	f := t.flt
+	has := f != nil
+	c.flags("fault", &has)
+	c.check(has == (f != nil), "sim: snapshot fault-state presence does not match the configured timeline")
+	if !has || f == nil {
+		return
+	}
+	u64(c, &f.cursor)
+	c.check(f.cursor >= 0 && f.cursor <= len(f.steps), "sim: snapshot fault cursor %d outside timeline of %d steps", f.cursor, len(f.steps))
+	u64(c, &f.working)
+	fans := f.spec.FanCount
+	c.check(f.working >= min(1, fans) && f.working <= fans, "sim: snapshot has %d working fans of %d", f.working, fans)
+	f64(c, &f.derate)
+	f64(c, &f.flowFactor)
+	// applyFlowPhysics rebuilds the airflow model at this factor, which
+	// must leave a positive finite lane flow.
+	flow := float64(t.cfg.Airflow.FlowPerLane) * f.flowFactor
+	c.check(flow > 0 && !math.IsInf(flow, 0), "sim: snapshot flow factor %v", f.flowFactor)
+	f64(c, &f.fanPowerW)
+	f64(c, &f.fanEnergyJ)
+	f64(c, &f.curInlet)
+	c.flags("ramp", &f.rampActive)
+	f64(c, &f.rampStart)
+	f64(c, &f.rampLen)
+	f64(c, &f.rampFrom)
+	f64(c, &f.rampTo)
+	u64(c, &f.requeues)
+	for i := range f.dead {
+		c.flags("fault", &f.dead[i], &f.capped[i])
+		c.check(!f.dead[i] || t.jobs[i] == nil, "sim: snapshot socket %d is both dead and busy", i)
+	}
+}
+
+// snapCodec is one direction of the codec: encoding appends each field to
+// buf and never writes through the pointers it is given (cfgSig hands it
+// fields of a server that concurrent runs share); decoding consumes buf and
+// overwrites the fields. A decode failure latches in err, after which reads
+// yield zeros, so a walk runs to its end and err is read once.
+type snapCodec struct {
+	enc bool
 	buf []byte
 	err error
 }
 
-func (r *snapReader) bytes(n int) []byte {
-	if r.err != nil || len(r.buf) < n {
-		r.err = fmt.Errorf("sim: snapshot truncated")
+// minJobRecord is a job's smallest encoding: ID, an empty-named benchmark
+// (length, class, four floats) and five floats.
+const minJobRecord = 8 + 4 + 4 + 4*8 + 5*8
+
+// check latches a validation failure while decoding.
+func (c *snapCodec) check(ok bool, format string, args ...any) {
+	if !ok && !c.enc && c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+// take consumes n payload bytes (zeros once truncated).
+func (c *snapCodec) take(n int) []byte {
+	if c.err != nil || len(c.buf) < n {
+		c.check(false, "sim: snapshot payload truncated")
 		return make([]byte, n)
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
 	return b
 }
 
-func (r *snapReader) u8() uint8    { return r.bytes(1)[0] }
-func (r *snapReader) u32() uint32  { return binary.LittleEndian.Uint32(r.bytes(4)) }
-func (r *snapReader) u64() uint64  { return binary.LittleEndian.Uint64(r.bytes(8)) }
-func (r *snapReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *snapReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.buf) {
-		r.err = fmt.Errorf("sim: snapshot truncated")
-		return ""
+func u32[T ~int | ~uint32](c *snapCodec, p *T) {
+	if c.enc {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*p))
+		return
 	}
-	return string(r.bytes(n))
+	*p = T(binary.LittleEndian.Uint32(c.take(4)))
 }
 
-func (r *snapReader) bench() workload.Benchmark {
-	var b workload.Benchmark
-	b.Name = r.str()
-	b.Class = workload.Class(r.u32())
-	b.MeanDuration = units.Seconds(r.f64())
-	b.PowerAt90C = units.Watts(r.f64())
-	b.FreqSensitivity = r.f64()
-	b.SocketTDP = units.Watts(r.f64())
-	return b
+func u64[T ~int | ~int64 | ~uint64](c *snapCodec, p *T) {
+	if c.enc {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*p))
+		return
+	}
+	*p = T(binary.LittleEndian.Uint64(c.take(8)))
 }
 
-func (r *snapReader) job() *job.Job {
-	var j job.Job
-	j.ID = job.ID(r.u64())
-	j.Benchmark = r.bench()
-	j.Arrival = units.Seconds(r.f64())
-	j.NominalDuration = units.Seconds(r.f64())
-	j.Work = units.Seconds(r.f64())
-	j.Started = units.Seconds(r.f64())
-	j.Done = units.Seconds(r.f64())
-	return &j
+func f64[T ~float64](c *snapCodec, p *T) {
+	if c.enc {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(float64(*p)))
+		return
+	}
+	*p = T(math.Float64frombits(binary.LittleEndian.Uint64(c.take(8))))
 }
 
-func (r *snapReader) welford() metrics.WelfordState {
-	return metrics.WelfordState{WSum: r.f64(), Mean: r.f64(), M2: r.f64()}
+// count codes a record count, 8 bytes wide or 4. Decoding bounds it by the
+// bytes left at rec bytes per record at least, so nothing sized by it can
+// outgrow the payload.
+func (c *snapCodec) count(n *int, wide bool, rec int, what string) {
+	if wide {
+		u64(c, n)
+	} else {
+		u32(c, n)
+	}
+	c.check(*n >= 0 && *n <= len(c.buf)/rec, "sim: snapshot %s count %d overruns the %d bytes left", what, *n, len(c.buf))
+	if c.err != nil {
+		*n = 0
+	}
 }
 
-func (r *snapReader) collector() (metrics.CollectorState, error) {
-	var st metrics.CollectorState
-	st.Completed = int(r.u64())
-	st.SojournExp = r.welford()
-	st.ServiceExp = r.welford()
-	st.WaitSec = r.welford()
-	st.TotalWork = r.f64()
-	for i := range st.RegionWork {
-		st.RegionWork[i] = r.f64()
+// flags codes up to eight bools as the bits of one byte, rejecting any
+// other bit.
+func (c *snapCodec) flags(what string, ps ...*bool) {
+	var b uint8
+	for i, p := range ps {
+		if *p {
+			b |= 1 << i
+		}
 	}
-	nzw := int(r.u32())
-	if r.err == nil && (nzw < 0 || nzw > 1<<20) {
-		return st, fmt.Errorf("sim: snapshot zone-work count %d is implausible", nzw)
+	if c.enc {
+		c.buf = append(c.buf, b)
+	} else {
+		b = c.take(1)[0]
 	}
-	st.ZoneWork = make([]metrics.ZoneValue, 0, nzw)
-	for i := 0; i < nzw && r.err == nil; i++ {
-		st.ZoneWork = append(st.ZoneWork, metrics.ZoneValue{Zone: int(int64(r.u64())), Value: r.f64()})
+	if b>>len(ps) != 0 {
+		c.check(false, "sim: snapshot %s bits %#x", what, b)
 	}
-	for i := range st.RegionFreq {
-		st.RegionFreq[i] = r.welford()
+	for i := 0; i < len(ps) && !c.enc; i++ {
+		*ps[i] = b>>i&1 != 0
 	}
-	nzf := int(r.u32())
-	if r.err == nil && (nzf < 0 || nzf > 1<<20) {
-		return st, fmt.Errorf("sim: snapshot zone-freq count %d is implausible", nzf)
+}
+
+func (c *snapCodec) str(p *string) {
+	n := len(*p)
+	u32(c, &n)
+	if c.enc {
+		c.buf = append(c.buf, *p...)
+		return
 	}
-	st.ZoneFreq = make([]metrics.ZoneWelford, 0, nzf)
-	for i := 0; i < nzf && r.err == nil; i++ {
-		st.ZoneFreq = append(st.ZoneFreq, metrics.ZoneWelford{Zone: int(int64(r.u64())), W: r.welford()})
+	c.check(n <= len(c.buf), "sim: snapshot payload truncated")
+	if c.err == nil {
+		*p = string(c.take(n))
 	}
-	st.EnergyJ = r.f64()
-	st.Start = units.Seconds(r.f64())
-	st.End = units.Seconds(r.f64())
-	st.BusySeconds = r.f64()
-	st.BoostSeconds = r.f64()
-	if !sort.SliceIsSorted(st.ZoneWork, func(i, j int) bool { return st.ZoneWork[i].Zone < st.ZoneWork[j].Zone }) ||
-		!sort.SliceIsSorted(st.ZoneFreq, func(i, j int) bool { return st.ZoneFreq[i].Zone < st.ZoneFreq[j].Zone }) {
-		return st, fmt.Errorf("sim: snapshot zone tables are not in canonical order")
+}
+
+func (c *snapCodec) bench(b *workload.Benchmark) {
+	c.str(&b.Name)
+	u32(c, &b.Class)
+	f64(c, &b.MeanDuration)
+	f64(c, &b.PowerAt90C)
+	f64(c, &b.FreqSensitivity)
+	f64(c, &b.SocketTDP)
+}
+
+// job codes a job record; decoding allocates the job.
+func (c *snapCodec) job(p **job.Job) {
+	if !c.enc {
+		*p = new(job.Job)
 	}
-	return st, nil
+	j := *p
+	u64(c, &j.ID)
+	c.bench(&j.Benchmark)
+	f64(c, &j.Arrival)
+	f64(c, &j.NominalDuration)
+	f64(c, &j.Work)
+	f64(c, &j.Started)
+	f64(c, &j.Done)
+}
+
+func (c *snapCodec) welford(w *metrics.WelfordState) {
+	f64(c, &w.WSum)
+	f64(c, &w.Mean)
+	f64(c, &w.M2)
+}
+
+// zone codes one zone-table key. Zones must lie in [1, depth] and ascend
+// strictly (prev is the previous key, 0 before the first): the collector
+// indexes dense per-zone slices by them.
+func (c *snapCodec) zone(p, prev *int, depth int) {
+	u64(c, p)
+	c.check(*p > *prev && *p <= depth, "sim: snapshot zone %d after zone %d (zones are 1..%d, ascending)", *p, *prev, depth)
+	*prev = *p
 }

@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"densim/internal/units"
@@ -52,4 +57,218 @@ func TestSnapshotPayloadPinned(t *testing.T) {
 			t.Errorf("%s: sha256(Snapshot) = %s, want %s", c.name, got, c.want)
 		}
 	}
+}
+
+// captureHeaderLen is the byte length of a capture's header: magic,
+// version, config signature and payload length. The forgery tests below
+// spell the format out themselves (here and in le) rather than reuse the
+// codec they are testing.
+const captureHeaderLen = 4 + 4 + 32 + 8
+
+// splitCapture splits a capture into its header and its payload.
+func splitCapture(data []byte) (header, payload []byte) {
+	return data[:captureHeaderLen], data[captureHeaderLen : len(data)-sha256.Size]
+}
+
+// reseal seals payload under a genuine capture's header, recomputing the
+// payload length and the trailing digest, so that what the payload says is
+// judged by the decoder rather than by the digest.
+func reseal(header, payload []byte) []byte {
+	out := append(append([]byte(nil), header[:captureHeaderLen]...), payload...)
+	binary.LittleEndian.PutUint64(out[captureHeaderLen-8:], uint64(len(payload)))
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// le encodes little-endian words: uint32, uint64, int (as 8 bytes) and
+// float64 values, the building blocks of a payload field.
+func le(vs ...any) []byte {
+	var b []byte
+	for _, v := range vs {
+		switch v := v.(type) {
+		case uint32:
+			b = binary.LittleEndian.AppendUint32(b, v)
+		case uint64:
+			b = binary.LittleEndian.AppendUint64(b, v)
+		case int:
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		case float64:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		default:
+			panic(fmt.Sprintf("le: %T", v))
+		}
+	}
+	return b
+}
+
+// locate returns the offset of needle in payload, which must hold it once.
+func locate(t *testing.T, payload, needle []byte) int {
+	t.Helper()
+	if n := bytes.Count(payload, needle); n != 1 {
+		t.Fatalf("field pattern found %d times in the payload, want once", n)
+	}
+	return bytes.Index(payload, needle)
+}
+
+// forgery is a payload edit: put writes word at offset at.
+type forgery struct {
+	name string
+	at   int
+	word []byte
+}
+
+// expectRejected restores each forged payload into a simulator mid-run and
+// requires a rejection that leaves the simulator's Snapshot bytes as they
+// were, without a panic and without allocating more than maxAlloc bytes.
+func expectRejected(t *testing.T, cfg func() Config, header, payload []byte, maxAlloc uint64, forgeries []forgery) {
+	t.Helper()
+	for _, fg := range forgeries {
+		forged := append([]byte(nil), payload...)
+		copy(forged[fg.at:], fg.word)
+		s, err := New(cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RunTo(0.05)
+		before, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		panicked := false
+		err = func() error {
+			defer func() {
+				if p := recover(); p != nil {
+					panicked = true
+					t.Errorf("%s: Restore panicked: %v", fg.name, p)
+				}
+			}()
+			return s.Restore(reseal(header, forged))
+		}()
+		runtime.ReadMemStats(&m1)
+		if panicked {
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: forged payload accepted", fg.name)
+			continue
+		}
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > maxAlloc {
+			t.Errorf("%s: rejecting the payload allocated %d bytes, want <= %d", fg.name, grew, maxAlloc)
+		}
+		if after, _ := s.Snapshot(); !bytes.Equal(before, after) {
+			t.Errorf("%s: rejected Restore changed the simulator's state", fg.name)
+		}
+	}
+}
+
+// TestSnapshotRejectsForgedZones pins that a digest-valid payload whose
+// collector zone tables name a zone outside [1, Depth], or repeat one, is
+// rejected without touching the simulator. A zone of -1 used to panic in
+// Collector.SetState after the clock, sockets and queue were committed; 0,
+// Depth+1 and duplicates were accepted.
+func TestSnapshotRejectsForgedZones(t *testing.T) {
+	cfg := func() Config { return snapConfig(t, "CP", EngineConfig{}) }
+	s, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunTo(0.3)
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, payload := splitCapture(data)
+	st := s.col.State()
+	if len(st.ZoneWork) < 3 || len(st.ZoneFreq) < 2 {
+		t.Fatalf("capture has %d work and %d frequency zones, want at least 3 and 2", len(st.ZoneWork), len(st.ZoneFreq))
+	}
+	work := le(uint32(len(st.ZoneWork)))
+	for _, z := range st.ZoneWork {
+		work = append(work, le(z.Zone, z.Value)...)
+	}
+	freq := le(uint32(len(st.ZoneFreq)))
+	for _, z := range st.ZoneFreq {
+		freq = append(freq, le(z.Zone, z.W.WSum, z.W.Mean, z.W.M2)...)
+	}
+	w, f := locate(t, payload, work)+4, locate(t, payload, freq)+4
+	last := len(st.ZoneWork) - 1
+	depth := s.srv.Depth
+	expectRejected(t, cfg, header, payload, 1<<20, []forgery{
+		{"work zone -1", w, le(-1)},
+		{"work zone 0", w, le(0)},
+		{"work zone depth+1", w + 16*last, le(depth + 1)},
+		{"work zone 1<<40", w + 16*last, le(1 << 40)},
+		{"duplicate work zone", w + 16, le(st.ZoneWork[0].Zone)},
+		{"descending work zones", w + 32, le(st.ZoneWork[0].Zone)},
+		{"freq zone -1", f, le(-1)},
+		{"freq zone depth+1", f + 32*(len(st.ZoneFreq)-1), le(depth + 1)},
+		{"duplicate freq zone", f + 32, le(st.ZoneFreq[0].Zone)},
+	})
+}
+
+// TestSnapshotBoundsDecodedCounts pins that a decoded count is checked
+// against the bytes left before anything is allocated for it: a forged
+// queue length of 1<<24 used to allocate 128 MB, and a zone-table count of
+// 1<<20 16 MB, before the truncation was noticed.
+func TestSnapshotBoundsDecodedCounts(t *testing.T) {
+	cfg := func() Config { return snapConfig(t, "CP", EngineConfig{}) }
+	s, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunTo(0.3)
+	if s.queue.Len() != 0 {
+		t.Fatalf("capture has %d queued jobs, want none", s.queue.Len())
+	}
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, payload := splitCapture(data)
+	srcRNG, srcNext := s.source.(sourceSnapshotter).SnapshotState()
+	q := locate(t, payload, le(uint64(0), srcRNG, float64(srcNext)))
+	st := s.col.State()
+	work := le(uint32(len(st.ZoneWork)))
+	for _, z := range st.ZoneWork {
+		work = append(work, le(z.Zone, z.Value)...)
+	}
+	w := locate(t, payload, work)
+	f := w + len(work) + 3*24 // the frequency table follows the region welfords
+	expectRejected(t, cfg, header, payload, 1<<20, []forgery{
+		{"queue 1<<24", q, le(1 << 24)},
+		{"queue -1", q, le(-1)},
+		{"zone-work 1<<20", w, le(uint32(1 << 20))},
+		{"zone-freq 1<<20", f, le(uint32(1 << 20))},
+	})
+}
+
+// TestSnapshotRejectsForgedFaultRuntime pins the fault block's range checks:
+// a working-fan count outside [1, FanCount], and a flow factor that would
+// leave the rebuilt airflow model without a positive finite lane flow (a
+// zero factor used to panic in applyFlowPhysics).
+func TestSnapshotRejectsForgedFaultRuntime(t *testing.T) {
+	cfg := func() Config { return faultConfig(t, "CP", EngineConfig{}, nil) }
+	s, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunTo(0.25)
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, payload := splitCapture(data)
+	fl := s.flt
+	at := locate(t, payload, le(fl.cursor, fl.working, fl.derate, fl.flowFactor, float64(fl.fanPowerW)))
+	expectRejected(t, cfg, header, payload, 1<<20, []forgery{
+		{"working 0", at + 8, le(0)},
+		{"working FanCount+1", at + 8, le(fl.spec.FanCount + 1)},
+		{"cursor past the timeline", at, le(len(fl.steps) + 1)},
+		{"flow factor 0", at + 24, le(0.0)},
+		{"flow factor -1", at + 24, le(-1.0)},
+		{"flow factor NaN", at + 24, le(math.NaN())},
+		{"flow factor +Inf", at + 24, le(math.Inf(1))},
+	})
 }

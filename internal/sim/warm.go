@@ -1,11 +1,108 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 
+	"densim/internal/geometry"
 	"densim/internal/metrics"
 )
+
+// sourceIdentifier lets a custom workload source contribute an identity hash
+// to the config signature. Without it, two runs differing only in their
+// injected sources share a signature — the fleet layer feeds each chassis a
+// distinct pre-dispatched arrival slice through the same source type, and a
+// warm-start cache keyed on the signature alone would silently restore one
+// chassis's warmup into another. Sources that implement it (fleet replay
+// sources hash their arrival records) get per-content signatures; sources
+// that don't keep the historical signature, so existing captures stay valid.
+type sourceIdentifier interface {
+	SourceSignature() uint64
+}
+
+// cfgSig hashes the run's identity. Two simulators with equal signatures
+// follow bit-identical trajectories up to any instant both horizons cover,
+// so a snapshot from one resumes exactly in the other. It is not part of the
+// payload walk: it encodes values derived from the config, never decoded.
+func (s *Simulator) cfgSig() [32]byte {
+	c := &snapCodec{enc: true}
+	ints := func(vs ...int) {
+		for i := range vs {
+			u64(c, &vs[i])
+		}
+	}
+	floats := func(vs ...float64) {
+		for i := range vs {
+			f64(c, &vs[i])
+		}
+	}
+	cfg, srv := &s.cfg, s.srv
+	// Topology.
+	c.str(&srv.Name)
+	ints(srv.Rows, srv.Lanes, srv.Depth)
+	for i := range srv.XPositions {
+		f64(c, &srv.XPositions[i])
+	}
+	for _, sk := range srv.Sockets() {
+		ints(sk.Row, sk.Lane, sk.Pos, int(srv.Sink(sk.ID)))
+	}
+	floats(float64(srv.RowPitch), float64(srv.LanePitch))
+	// Airflow.
+	a := &cfg.Airflow
+	floats(float64(a.Inlet), float64(a.FlowPerLane), a.Concentration, float64(a.MixLength),
+		float64(a.AuxPerSocket), a.Air.DensityKgM3, a.Air.SpecificHeatJKgK)
+	// Policy and workload.
+	policy, mix := cfg.Scheduler.Name(), cfg.Mix.Name()
+	c.str(&policy)
+	c.str(&mix)
+	for _, b := range cfg.Mix.Benchmarks() {
+		c.bench(&b)
+	}
+	floats(cfg.Load)
+	u64(c, &cfg.Seed)
+	custom := cfg.Source != nil
+	c.flags("", &custom) // custom source: identity beyond the interface is opaque...
+	if ident, ok := cfg.Source.(sourceIdentifier); ok {
+		sig := ident.SourceSignature() // ...unless the source hashes itself
+		u64(c, &sig)
+	}
+	// Timing and thermal constants. Duration and DrainLimit are deliberately
+	// absent — see the package comment.
+	floats(float64(cfg.Warmup), float64(cfg.TickPeriod), float64(cfg.TDP),
+		float64(cfg.HistoryTau), float64(cfg.SinkTau), float64(cfg.ChipTau))
+	c.flags("", &cfg.DisableBoost)
+	floats(float64(cfg.BoostWindow), boostTier1Util, boostTier2Util,
+		float64(cfg.Migration.Period), float64(cfg.Migration.Cost),
+		cfg.Migration.MinGainMHz, cfg.Migration.MinRemainingWork)
+	// Heterogeneous SKUs: a per-cartridge override changes the trajectory
+	// from the first tick, so the per-socket (TDP, FMax) pairs are identity.
+	c.flags("", &s.hetero)
+	for i := 0; s.hetero && i < len(s.sockets); i++ {
+		sku := srv.SKU(geometry.SocketID(i))
+		floats(float64(sku.TDP), float64(sku.FMax))
+	}
+	// Fault timeline: the canonical encoding covers every semantic field, so
+	// a capture can never restore under a different fault schedule. A run
+	// without faults contributes a zero-length marker.
+	faults := string(cfg.Faults.Canonical())
+	c.str(&faults)
+	return sha256.Sum256(c.buf)
+}
+
+// SnapshotKey returns a filesystem-safe identity for this run's snapshots:
+// the hex form of the configuration signature. Two simulators share a key
+// exactly when a snapshot from one restores into the other, so the key is
+// the natural cache-file name for warm-start layers (internal/experiments'
+// WarmDir). It refuses for the same reasons Snapshot does.
+func (s *Simulator) SnapshotKey() (string, error) {
+	if err := s.snapshotable(); err != nil {
+		return "", err
+	}
+	sig := s.cfgSig()
+	return hex.EncodeToString(sig[:]), nil
+}
 
 // RunWarm executes the simulation to completion, warm-starting from the
 // snapshot cache in dir: the one cache-or-cold contract behind every
