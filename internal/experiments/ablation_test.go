@@ -9,11 +9,7 @@ func TestCPVariants(t *testing.T) {
 	}
 }
 
-func TestAblationCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	r := NewRunner(tinyOptions())
+func ablationCP(t *testing.T, r *Runner) {
 	rows, tbl, err := AblationCP(r, []float64{0.3, 0.8})
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +123,7 @@ func TestCouplingDegreeStudyRejectsBadDegree(t *testing.T) {
 	}
 }
 
-func TestHeadline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	r := NewRunner(tinyOptions())
+func headline(t *testing.T, r *Runner) {
 	rows, tbl, err := Headline(r, []float64{0.3, 0.8})
 	if err != nil {
 		t.Fatal(err)

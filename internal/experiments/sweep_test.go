@@ -86,11 +86,24 @@ func TestFig3Directions(t *testing.T) {
 	}
 }
 
-func TestFig11Shapes(t *testing.T) {
+// TestSharedRunnerFigures runs the shape checks whose cells overlap as
+// subtests of one runner, so each cell is simulated once: Fig 11 and Fig 13
+// share their loads, and Fig 14/15, the headline and the CP ablation share
+// the 30% and 80% cells. The runner belongs to this test rather than to the
+// package, so a -count=2 run simulates everything again on its second pass.
+func TestSharedRunnerFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
 	r := NewRunner(tinyOptions())
+	t.Run("Fig11Shapes", func(t *testing.T) { fig11Shapes(t, r) })
+	t.Run("Fig13Shapes", func(t *testing.T) { fig13Shapes(t, r) })
+	t.Run("Fig14And15ShareCells", func(t *testing.T) { fig14And15ShareCells(t, r) })
+	t.Run("Headline", func(t *testing.T) { headline(t, r) })
+	t.Run("AblationCP", func(t *testing.T) { ablationCP(t, r) })
+}
+
+func fig11Shapes(t *testing.T, r *Runner) {
 	rows, tbl, err := Fig11(r)
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +135,7 @@ func TestFig11Shapes(t *testing.T) {
 	}
 }
 
-func TestFig13Shapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	r := NewRunner(tinyOptions())
+func fig13Shapes(t *testing.T, r *Runner) {
 	rows, _, err := Fig13(r)
 	if err != nil {
 		t.Fatal(err)
@@ -162,11 +171,7 @@ func TestFig13Shapes(t *testing.T) {
 	}
 }
 
-func TestFig14And15ShareCells(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	r := NewRunner(tinyOptions())
+func fig14And15ShareCells(t *testing.T, r *Runner) {
 	loads := []float64{0.3, 0.8}
 	rows14, tbl14, err := Fig14(r, loads)
 	if err != nil {
