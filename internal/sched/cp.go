@@ -59,34 +59,6 @@ type CouplingPredictor struct {
 	// binning below.
 	rowsMono bool
 	rowStart []int32
-	// A downwind socket's pre-rise predicted frequency is a pure function
-	// of (its ambient bits, its running benchmark's dynamic-power curve,
-	// its sink, the run's leakage model). The last two are fixed per
-	// socket; the first two are the memo key — ambient bits directly, the
-	// power curve through its single determining scalar DynMax (see
-	// workload.Benchmark.DynMax). Keying by value rather than stamping per
-	// Pick keeps the memo valid across every Pick of a tick (ambients only
-	// move at tick boundaries) and across ticks once a lane settles; a job
-	// change re-keys via DynMax, so recycled job allocations can never
-	// alias a stale prediction.
-	beforeFreq   []units.MHz
-	beforeIdx    []int8
-	beforeAmb    []units.Celsius
-	beforeDynMax []units.Watts
-	// beforeLad/beforeThr cache the downwind socket's dynamic-power ladder
-	// and boundary snapshot (the admiss cache's LadderBounds pair for
-	// beforeDynMax under the socket's sink) so the post-rise search needs
-	// no table probe on a before-memo hit.
-	beforeLad [][]units.Watts
-	beforeThr []chipmodel.BoundsRow
-	// own is the candidate's own-frequency search, shared with Predictive:
-	// the highest admissible index memoized at (ambient bits, DynMax bits)
-	// for the candidate's fixed sink. Its admissibility cache (see
-	// chipmodel.AdmissCache) also backs the downwind searches below, so
-	// repeated predictions at unchanged or bound-dominated ambients skip the
-	// leakage exponential. Valid across Picks — entries are keyed by the
-	// probe's dynamic-power bits, never by job identity.
-	own ladderSearch
 	// ownTemp* replay the leakage drawn at the candidate's predicted chip
 	// temperature when the (ambient, dynamic power) inputs are bit-unchanged:
 	// a pure-function memo, exact by replay.
@@ -163,15 +135,8 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 	srv := s.Server()
 	cp.vec = s.Vectors()
 
-	cp.own.ensure(cp.vec)
-	if len(cp.beforeFreq) < srv.NumSockets() {
+	if len(cp.rowOf) < srv.NumSockets() {
 		n := srv.NumSockets()
-		cp.beforeFreq = make([]units.MHz, n)
-		cp.beforeIdx = make([]int8, n)
-		cp.beforeAmb = make([]units.Celsius, n)
-		cp.beforeDynMax = make([]units.Watts, n)
-		cp.beforeLad = make([][]units.Watts, n)
-		cp.beforeThr = make([]chipmodel.BoundsRow, n)
 		cp.ownTempAmb = make([]units.Celsius, n)
 		cp.ownTempDynW = make([]units.Watts, n)
 		cp.ownTempLeakW = make([]units.Watts, n)
@@ -199,7 +164,6 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 		nan := math.NaN()
 		for i := 0; i < n; i++ {
 			cp.ownTempAmb[i] = units.Celsius(nan)
-			cp.beforeAmb[i] = units.Celsius(nan)
 			cp.scoreDynMax[i] = units.Watts(nan)
 		}
 	}
@@ -304,14 +268,14 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 	af := s.Airflow()
 	leak := cp.vec.Leak[cand]
 	dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
-	ladder := len(chipmodel.Frequencies) - 1
+	ladder := cp.vec.Ladder
 
 	// Own predicted frequency at the candidate's current ambient (the
-	// shared memoized search), capped by the candidate's boost budget.
+	// simulation's memoized search), capped by the candidate's boost budget.
 	candAmb := cp.vec.Amb[cand]
 	candSink := srv.Sink(cand)
 	ci := int(cand)
-	ownFreq := ladderFreq(cp.own.index(cp.vec, bm, dm, cand, candSink))
+	ownFreq := LadderFreq(ladder.Index(cand, bm, dm, candAmb))
 	if !cp.opts.IgnoreBudget && ownFreq > cp.vec.Cap[cand] {
 		ownFreq = cp.vec.Cap[cand]
 	}
@@ -364,51 +328,23 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 		} else {
 			continue
 		}
+		// The pre-rise prediction is candidate-independent, and for a busy
+		// socket it is the memo entry the power manager's last pick left
+		// (the raw index — the budget clamp below stays per-use).
 		amb := cp.vec.Amb[down]
-		dleak := cp.vec.Leak[down]
-		sink := srv.Sink(down)
-		// The pre-rise prediction is candidate-independent: replayed from
-		// the (ambient bits, DynMax bits) memo — valid across Picks and
-		// ticks while both are unchanged (the raw value — the budget clamp
-		// below stays per-use).
-		dmax := dbm.DynMax()
-		var before units.MHz
-		var bIdx int
-		var dLad []units.Watts
-		var dThr chipmodel.BoundsRow
-		if cp.beforeAmb[down] == amb && cp.beforeDynMax[down] == dmax {
-			before = cp.beforeFreq[down]
-			bIdx = int(cp.beforeIdx[down])
-			dLad = cp.beforeLad[down]
-			dThr = cp.beforeThr[down]
-		} else {
-			dLad, dThr = cp.own.admiss.LadderBounds(dmax, func(k int) units.Watts {
-				return dbm.DynamicPowerAt(chipmodel.Frequencies[k])
-			}, sink, dleak)
-			bIdx = chipmodel.HighestAdmissible(ladder, func(k int) bool {
-				return cp.own.admiss.AdmissibleRow(dThr, int(down), k, amb, dLad[k], sink, dleak)
-			})
-			before = ladderFreq(bIdx)
-			cp.beforeFreq[down] = before
-			cp.beforeIdx[down] = int8(bIdx)
-			cp.beforeAmb[down] = amb
-			cp.beforeDynMax[down] = dmax
-			cp.beforeLad[down] = dLad
-			cp.beforeThr[down] = dThr
-		}
-		// The post-rise search warm-starts at the pre-rise index and is
-		// capped there: the predicate is monotone non-increasing in ambient
-		// (PredictTwoStep adds the ambient term and everything downstream of
-		// it — the leakage exponential, the second peak estimate — is
-		// non-decreasing in it, in float arithmetic too since each step is a
-		// composition of monotone operations), so an index inadmissible at
-		// amb stays inadmissible at the hotter amb+rise. Confirming bIdx
-		// costs one probe; rise only heats, so the answer is bIdx or below.
-		ambAfter := amb + rise
-		aIdx := chipmodel.HighestAdmissibleFrom(bIdx, bIdx, func(k int) bool {
-			return cp.own.admiss.AdmissibleRow(dThr, int(down), k, ambAfter, dLad[k], sink, dleak)
-		})
-		after := ladderFreq(aIdx)
+		bIdx := ladder.Index(down, dbm, dbm.DynMax(), amb)
+		before := LadderFreq(bIdx)
+		// The post-rise search starts at the pre-rise index on the memo's
+		// ladder row and is capped there: the predicate is monotone
+		// non-increasing in ambient (PredictTwoStep adds the ambient term and
+		// everything downstream of it — the leakage exponential, the second
+		// peak estimate — is non-decreasing in it, in float arithmetic too
+		// since each step is a composition of monotone operations), so an
+		// index inadmissible at amb stays inadmissible at the hotter
+		// amb+rise. Confirming bIdx costs one probe; rise only heats, so the
+		// answer is bIdx or below.
+		aIdx := ladder.IndexBelow(down, bIdx, amb+rise)
+		after := LadderFreq(aIdx)
 		if !cp.opts.IgnoreBudget {
 			// Losses above the downwind socket's budget cap do not count:
 			// it could not have run there anyway.

@@ -9,8 +9,9 @@
 // picks one socket from the idle set for each pending job. Every policy
 // reads the vectors directly: the socket temperature the
 // temperature-ordering policies rank by is one formula over them
-// (StateVectors.SocketTemp), and Predictive and CP share one memoized
-// own-frequency search (ladderSearch).
+// (StateVectors.SocketTemp), and Predictive and CP read frequencies from
+// the simulation's one memoized ladder search (StateVectors.Ladder), the
+// same one its power manager picks through.
 // Schedulers must be deterministic given their construction-time seed.
 package sched
 
@@ -45,6 +46,8 @@ type State interface {
 // StateVectors is the live per-socket state, indexed by socket ID (Epoch by
 // airflow channel). The slices alias the simulator's storage: they are valid
 // for the duration of one Pick and must never be written by schedulers.
+// Ladder is the one exception: schedulers may fill its memo through Index
+// and IndexBelow, and may write nothing else.
 //
 //   - Amb[i] is the socket's current entry air temperature.
 //   - Pewma[i] is the socket's 30-second power average, the heatsink-mass
@@ -71,15 +74,20 @@ type State interface {
 //     advances it first. Schedulers use it to memoize per-socket
 //     predictions and replay them on an unchanged epoch: exact by replay,
 //     since an unchanged epoch proves every input bit-identical.
+//   - Ladder is the simulation's one frequency search (see LadderSearch),
+//     value-keyed and so never invalidated. The power manager picks through
+//     it too, so a scheduler's prediction for a busy socket is usually the
+//     memo entry the socket's last pick left.
 type StateVectors struct {
-	Amb   []units.Celsius
-	Pewma []units.Watts
-	RExt  []float64
-	Hist  []units.Celsius
-	Job   []*job.Job
-	Leak  []chipmodel.Leakage
-	Cap   []units.MHz
-	Epoch []uint64
+	Amb    []units.Celsius
+	Pewma  []units.Watts
+	RExt   []float64
+	Hist   []units.Celsius
+	Job    []*job.Job
+	Leak   []chipmodel.Leakage
+	Cap    []units.MHz
+	Epoch  []uint64
+	Ladder *LadderSearch
 }
 
 // SocketTemp returns the lumped socket temperature (heatsink mass, 30 s time
@@ -310,27 +318,20 @@ func (a *AdaptiveRandom) Pick(s State, _ *job.Job, idle []geometry.SocketID) geo
 // Predictive [81][43] estimates, for every idle socket, the frequency the
 // job would achieve there (through the Equation-1 two-step prediction) and
 // places the job where it runs fastest; ties break toward cooler ambient.
-//
-// The estimate is PredictSocketFrequency's, found through the memoized
-// own-frequency search CP uses (ladderSearch), so a Predictive is not safe
-// for concurrent use: give each simulation its own (ByName constructs fresh
-// ones).
-type Predictive struct {
-	own ladderSearch
-}
+// The estimate is PredictSocketFrequency's, read from the simulation's
+// ladder search (StateVectors.Ladder), so the policy itself is stateless.
+type Predictive struct{}
 
 // Name implements Scheduler.
-func (*Predictive) Name() string { return "Predictive" }
+func (Predictive) Name() string { return "Predictive" }
 
 // Pick implements Scheduler.
-func (p *Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
-	srv := s.Server()
+func (Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	v := s.Vectors()
-	p.own.ensure(v)
 	bm := &j.Benchmark
 	dm := bm.DynMax()
 	return argBest(idle, func(id geometry.SocketID) float64 {
-		f := ladderFreq(p.own.index(v, bm, dm, id, srv.Sink(id)))
+		f := LadderFreq(v.Ladder.Index(id, bm, dm, v.Amb[id]))
 		if cap := v.Cap[id]; f > cap {
 			f = cap
 		}
@@ -343,7 +344,7 @@ func (p *Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometr
 // dynamic-power curve would achieve on a socket: the Equation-1 two-step
 // thermal prediction at the socket's ambient and leakage, capped at what its
 // boost budget permits. It is the unmemoized reference for the estimate
-// Predictive and CP find through ladderSearch.
+// Predictive and CP read from the LadderSearch.
 func PredictSocketFrequency(v *StateVectors, id geometry.SocketID, dyn chipmodel.DynamicPowerFn, sink chipmodel.Sink) units.MHz {
 	f := chipmodel.PredictFrequency(v.Amb[id], dyn, sink, v.Leak[id])
 	if cap := v.Cap[id]; f > cap {
@@ -373,7 +374,7 @@ func ByName(name string, seed uint64) (Scheduler, error) {
 	case "A-Random":
 		return NewAdaptiveRandom(seed), nil
 	case "Predictive":
-		return &Predictive{}, nil
+		return Predictive{}, nil
 	case "CP":
 		return NewCouplingPredictor(seed), nil
 	// CP ablation variants (not part of the paper's scheme set; used by the

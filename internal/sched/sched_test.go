@@ -63,6 +63,7 @@ func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
 		fs.leak[i] = chipmodel.NewLeakage(workload.TDP)
 		fs.caps[i] = chipmodel.FMax
 	}
+	fs.vec.Ladder = NewLadderSearch(srv, fs.leak)
 	return fs
 }
 

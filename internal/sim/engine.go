@@ -34,6 +34,13 @@ package sim
 //     the end of the run. Idle draw does not depend on the thermal state,
 //     so only the idle-energy accrual is replayed and the sweep is skipped.
 //
+//     Its power manager picks through the run's one ladder search
+//     (StateVectors.Ladder, the memo Predictive and CP fill too) and clamps
+//     the uncapped index to the boost cap. The memo is keyed by value —
+//     ambient bits and the benchmark's DynMax bits — so it is exact whatever
+//     its history: no completion, migration, fault or restore invalidates
+//     it, and a recycled job allocation cannot alias a stale entry.
+//
 // The event engine arms tick skipping (the settled skip and both licences)
 // unless a Probe or the invariant harness observes every tick, so a run
 // resolves to serial, or event with or without tick skipping.
@@ -47,8 +54,8 @@ import (
 
 	"densim/internal/chipmodel"
 	"densim/internal/geometry"
+	"densim/internal/sched"
 	"densim/internal/units"
-	"densim/internal/workload"
 )
 
 // Engine modes accepted by EngineConfig.
@@ -85,8 +92,8 @@ func (e EngineConfig) Validate() error {
 
 // engineState is the resolved engine for one run.
 type engineState struct {
-	// incremental selects the dirty-lane sweep and the pick cache; false
-	// is the pristine serial path.
+	// incremental selects the dirty-lane sweep and the memoized frequency
+	// pick; false is the pristine serial path.
 	incremental bool
 	// skipTicks arms tick skipping: the event engine with no Probe or
 	// Checks observing individual ticks. It licenses the gap advance over a
@@ -104,31 +111,6 @@ type engineState struct {
 	// Nil unless skipTicks; cleared by every power write and busy
 	// transition touching the channel.
 	laneSettled []bool
-
-	// Pick cache (nil unless incremental): a busy socket's pick is a pure
-	// function of (benchmark, ambient bits, boost cap), so while those are
-	// unchanged the cached frequency is exact. Entries are valid only while
-	// the socket continuously runs the same job — completions and migration
-	// sources invalidate, so a recycled *Job allocation can never alias a
-	// stale entry.
-	pickBench []*workload.Benchmark
-	pickAmb   []units.Celsius
-	pickCap   []units.MHz
-	pickIdx   []int8
-	pickFreq  []units.MHz
-	// shared engages the admiss cache's shared bounds pool and ladder
-	// table, whose bounds are exact only under one leakage curve (so not
-	// under heterogeneous SKUs). pickLad[i]/pickThr[i] then hold the ladder
-	// row and boundary snapshot for pickBench[i]'s power curve under socket
-	// i's sink. The pool and both rows are allocated on the first
-	// cache-missed pick, so a simulator that never steps pays nothing.
-	shared  bool
-	pickLad [][]units.Watts
-	pickThr []chipmodel.BoundsRow
-	// admiss caches exact admissibility verdicts per (socket, P-state) so
-	// cache-missed picks rarely pay the leakage exponential (see
-	// chipmodel.AdmissCache).
-	admiss *chipmodel.AdmissCache
 }
 
 // resolveEngine turns the configured EngineConfig into the run's engine
@@ -149,14 +131,6 @@ func (s *Simulator) resolveEngine() {
 	if e.skipTicks {
 		e.laneSettled = make([]bool, len(e.dirty))
 	}
-	n := len(s.sockets)
-	e.pickBench = make([]*workload.Benchmark, n)
-	e.pickAmb = make([]units.Celsius, n)
-	e.pickCap = make([]units.MHz, n)
-	e.pickIdx = make([]int8, n)
-	e.pickFreq = make([]units.MHz, n)
-	e.admiss = chipmodel.NewAdmissCache(n)
-	e.shared = !s.hetero
 }
 
 // allSettled reports that the previous sweep was an identity on every lane:
@@ -182,78 +156,23 @@ func (s *Simulator) unsettle(i int) {
 	}
 }
 
-// invalidatePick drops socket i's cached pick. Must be called on every
-// busy -> idle transition so a recycled job allocation can never match a
-// stale benchmark pointer.
-func (e *engineState) invalidatePick(i int) {
-	if e.pickBench != nil {
-		e.pickBench[i] = nil
-	}
-}
-
-// pickFrequency is the engine's frequency dispatcher: the reference pick in
-// serial mode, the cached/warm-started path otherwise. Both return the exact
-// frequency pickFrequencyIndexed does.
+// pickFrequency is the power manager's frequency pick: the reference search
+// on the serial engine; on the event engine, the run's ladder search
+// (StateVectors.Ladder, shared with the schedulers) clamped to the socket's
+// boost cap. The clamp is exact: the predicate is monotone over the ladder,
+// so the highest admissible index at or below the cap's index is the
+// smaller of that index and the uncapped answer — what
+// pickFrequencyIndexed's capped search returns.
 func (s *Simulator) pickFrequency(id geometry.SocketID) units.MHz {
 	if !s.eng.incremental {
 		return s.pickFrequencyIndexed(id)
 	}
-	return s.enginePick(int(id))
-}
-
-// enginePick returns pickFrequencyIndexed's Table III pick through two
-// exact shortcuts: a full-input cache hit returns the stored frequency
-// (pure function of the key), and a miss warm-starts the monotone ladder
-// search from the previous pick's index
-// (chipmodel.HighestAdmissibleFrom returns exactly what the cold search
-// would).
-func (s *Simulator) enginePick(i int) units.MHz {
-	e := &s.eng
-	bench := &s.jobs[i].Benchmark
-	ambient := s.amb[i]
-	cap := s.caps[i]
-	if e.pickBench[i] == bench && e.pickAmb[i] == ambient && e.pickCap[i] == cap {
-		return e.pickFreq[i]
+	bm := &s.jobs[id].Benchmark
+	k := s.vec.Ladder.Index(id, bm, bm.DynMax(), s.amb[id])
+	if c := chipmodel.CapIndex(s.caps[id]); k > c {
+		k = c
 	}
-	sink := s.srv.Sink(geometry.SocketID(i))
-	leak := s.leakAt[i]
-	hint := -1
-	if e.pickBench[i] == bench {
-		hint = int(e.pickIdx[i])
-	} else if e.shared {
-		if e.pickLad == nil {
-			n := len(s.sockets)
-			e.admiss.EnableSharedPool()
-			e.pickLad = make([][]units.Watts, n)
-			e.pickThr = make([]chipmodel.BoundsRow, n)
-		}
-		e.pickLad[i], e.pickThr[i] = e.admiss.LadderBounds(bench.DynMax(), func(k int) units.Watts {
-			return bench.DynamicPowerAt(chipmodel.Frequencies[k])
-		}, sink, leak)
-	}
-	admiss := e.admiss
-	var idx int
-	if e.shared {
-		lad, thr := e.pickLad[i], e.pickThr[i]
-		idx = chipmodel.HighestAdmissibleFrom(hint, chipmodel.CapIndex(cap), func(k int) bool {
-			return admiss.AdmissibleRow(thr, i, k, ambient, lad[k], sink, leak)
-		})
-	} else {
-		idx = chipmodel.HighestAdmissibleFrom(hint, chipmodel.CapIndex(cap), func(k int) bool {
-			dyn := bench.DynamicPowerAt(chipmodel.Frequencies[k])
-			return admiss.Admissible(i, k, ambient, dyn, sink, leak)
-		})
-	}
-	f := chipmodel.FMin
-	if idx >= 0 {
-		f = chipmodel.Frequencies[idx]
-	}
-	e.pickBench[i] = bench
-	e.pickAmb[i] = ambient
-	e.pickCap[i] = cap
-	e.pickIdx[i] = int8(idx)
-	e.pickFreq[i] = f
-	return f
+	return sched.LadderFreq(k)
 }
 
 // ensureTickGains hoists the four first-order blend factors for the fixed

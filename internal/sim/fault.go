@@ -274,7 +274,6 @@ func (s *Simulator) killSocket(i int) {
 		s.freq[i] = 0
 		s.busyCount--
 		s.unsettle(i)
-		s.eng.invalidatePick(i)
 		s.setDoneAt(i, neverDone)
 		f.requeues++
 		if s.checks != nil {
@@ -289,7 +288,6 @@ func (s *Simulator) killSocket(i int) {
 		// count, which we undo): dead is neither idle nor busy.
 		s.markBusy(i)
 		s.busyCount--
-		s.eng.invalidatePick(i)
 	}
 	f.dead[i] = true
 	f.deadCount++

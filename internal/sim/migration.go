@@ -101,7 +101,6 @@ func (s *Simulator) migrate(srcID, dstID geometry.SocketID) {
 	s.jobs[srcID] = nil
 	s.freq[srcID] = 0
 	s.markIdle(int(srcID))
-	s.eng.invalidatePick(int(srcID))
 	s.setDoneAt(int(srcID), neverDone)
 	s.setPower(int(srcID), s.idlePow(int(srcID)))
 

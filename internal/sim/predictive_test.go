@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"densim/internal/airflow"
@@ -57,31 +58,90 @@ func (o *predictiveOracle) Pick(s sched.State, j *job.Job, idle []geometry.Socke
 	return got
 }
 
-// mixedSKUServer is the SUT with three leakage curves and SKU ceilings
-// below FMax on a third of its rows, so that neighbouring sockets with the
-// same sink carry different leakage and caps.
-func mixedSKUServer() *geometry.Server {
-	srv := geometry.SUT()
-	skus := []chipmodel.SKU{{TDP: 18, FMax: 1500}, {TDP: 30, FMax: 1700}, {}}
-	for _, sk := range srv.Sockets() {
-		if sku := skus[(sk.Row+sk.Pos)%len(skus)]; !sku.IsZero() {
-			srv.SetSKU(sk.ID, sku)
+// skuServer returns a builder of the SUT with skus[(row+pos) mod len(skus)]
+// installed on each socket, so that neighbouring sockets with the same sink
+// carry different SKUs.
+func skuServer(skus ...chipmodel.SKU) func() *geometry.Server {
+	return func() *geometry.Server {
+		srv := geometry.SUT()
+		for _, sk := range srv.Sockets() {
+			if sku := skus[(sk.Row+sk.Pos)%len(skus)]; !sku.IsZero() {
+				srv.SetSKU(sk.ID, sku)
+			}
 		}
+		return srv
 	}
-	return srv
 }
 
-// TestPredictiveMemoMatchesReference runs Predictive through real
-// simulations — the SUT and a mixed-SKU SUT, at 30%, 70% and 90% load, over
-// all three benchmark sets at once so that jobs of different power curves
-// meet the same socket at the same ambient — and asserts on every pick that
-// the memoized own-frequency search places the job exactly where the
-// unmemoized PredictSocketFrequency reference would. The inlet is a hot
-// aisle's 55C, so that within a fraction of a simulated second sockets sit
-// on the throttle boundary and the estimates, not just the ambient
-// tie-break, decide the picks; at the default 18C inlet every estimate is
-// FMax and the comparison would prove nothing.
+// TestPredictiveMemoMatchesReference runs Predictive and CP through real
+// simulations — the SUT and two mixed-SKU SUTs, at 30%, 70% and 90% load,
+// over all three benchmark sets at once, at a hot aisle's 55C inlet so that
+// the estimates, not just the ambient tie-break, decide the picks. For
+// Predictive it asserts on every pick that the memoized own-frequency search
+// places the job exactly where the unmemoized PredictSocketFrequency
+// reference would; for CP, that every busy socket's pre-rise downwind
+// prediction equals chipmodel.PredictFrequency.
 func TestPredictiveMemoMatchesReference(t *testing.T) {
+	for _, c := range memoCases {
+		for _, load := range []float64{0.3, 0.7, 0.9} {
+			memo, err := sched.ByName("Predictive", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := &predictiveOracle{memo: memo}
+			s, err := New(hotAisleConfig(t, c, o, load))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSharedPool(t, s, c)
+			s.Run()
+			if o.throttled < 100 {
+				t.Errorf("%s load %.1f: only %d of %d picks saw a throttled estimate", c.name, load, o.throttled, o.picks)
+			}
+			if o.mismatches > 0 {
+				t.Errorf("%s load %.1f: memoized Predictive differs from the reference on %d of %d picks (first for %s)",
+					c.name, load, o.mismatches, o.picks, o.first)
+			}
+
+			cp := &cpOracle{Scheduler: sched.NewCouplingPredictor(1)}
+			s, err = New(hotAisleConfig(t, c, cp, load))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			if cp.throttled < 100 {
+				t.Errorf("%s load %.1f: only %d of %d CP downwind checks saw a throttled reference", c.name, load, cp.throttled, cp.checked)
+			}
+			if cp.mismatches > 0 {
+				t.Errorf("%s load %.1f: %d of %d CP pre-rise predictions differ from the reference; first %s",
+					c.name, load, cp.mismatches, cp.checked, cp.first)
+			}
+		}
+	}
+}
+
+// memoCase is one server of the ladder-search differential tests: shared
+// says whether every socket carries the same leakage curve, which is what
+// enables the admissibility cache's shared bounds pool.
+type memoCase struct {
+	name   string
+	build  func() *geometry.Server
+	shared bool
+}
+
+// The mixed-SKU SUT carries three leakage curves (no shared bounds pool);
+// the FMax-only one keeps the platform TDP everywhere, so the pool is on
+// while neighbouring caps differ.
+var memoCases = []memoCase{
+	{"sut", geometry.SUT, true},
+	{"mixed-sku", skuServer(chipmodel.SKU{TDP: 18, FMax: 1500}, chipmodel.SKU{TDP: 30, FMax: 1700}, chipmodel.SKU{}), false},
+	{"fmax-sku", skuServer(chipmodel.SKU{FMax: 1500}, chipmodel.SKU{FMax: 1700}, chipmodel.SKU{}), true},
+}
+
+// allBenchmarksMix draws from all three benchmark sets at once, so that jobs
+// of different power curves meet the same socket at the same ambient.
+func allBenchmarksMix(t *testing.T) workload.Mix {
+	t.Helper()
 	var all []workload.Benchmark
 	for _, c := range workload.Classes {
 		all = append(all, workload.ByClass(c)...)
@@ -90,39 +150,138 @@ func TestPredictiveMemoMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, srvCase := range []struct {
-		name  string
-		build func() *geometry.Server
-	}{{"sut", geometry.SUT}, {"mixed-sku", mixedSKUServer}} {
-		for _, load := range []float64{0.3, 0.7, 0.9} {
-			memo, err := sched.ByName("Predictive", 1)
-			if err != nil {
-				t.Fatal(err)
+	return mix
+}
+
+// hotAisleConfig is a short run at a 55C inlet, so that within a fraction
+// of a simulated second sockets sit on the throttle boundary: at the default
+// 18C inlet every estimate is FMax and a differential test proves nothing.
+func hotAisleConfig(t *testing.T, c memoCase, sch sched.Scheduler, load float64) Config {
+	params := airflow.SUTParams()
+	params.Inlet = 55
+	return Config{
+		Server:    c.build(),
+		Scheduler: sch,
+		Airflow:   params,
+		Mix:       allBenchmarksMix(t),
+		Load:      load,
+		Seed:      3,
+		Duration:  0.3,
+		Warmup:    0.05,
+		SinkTau:   0.5,
+	}
+}
+
+// checkSharedPool asserts that the case's leakage curves are as its name
+// says, so the cases cover the ladder search with and without the shared
+// bounds pool.
+func checkSharedPool(t *testing.T, s *Simulator, c memoCase) {
+	t.Helper()
+	shared := true
+	for _, l := range s.leakAt {
+		shared = shared && l == s.leakAt[0]
+	}
+	if shared != c.shared {
+		t.Fatalf("%s: every socket on one leakage curve = %v, want %v", c.name, shared, c.shared)
+	}
+}
+
+// cpOracle runs CP and, after each of its picks, checks the ladder search's
+// pre-rise prediction for every busy socket — the "before" frequency CP's
+// downwind loop reads — against the unmemoized chipmodel.PredictFrequency.
+type cpOracle struct {
+	sched.Scheduler
+	checked    int
+	throttled  int // checks whose reference sat below FMax
+	mismatches int
+	first      string
+}
+
+func (o *cpOracle) Pick(s sched.State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
+	got := o.Scheduler.Pick(s, j, idle)
+	v, srv := s.Vectors(), s.Server()
+	for i, running := range v.Job {
+		if running == nil {
+			continue
+		}
+		id := geometry.SocketID(i)
+		bm := &running.Benchmark
+		memo := sched.LadderFreq(v.Ladder.Index(id, bm, bm.DynMax(), v.Amb[i]))
+		ref := chipmodel.PredictFrequency(v.Amb[i], bm.DynamicPowerAt, srv.Sink(id), v.Leak[i])
+		o.checked++
+		if ref < chipmodel.FMax {
+			o.throttled++
+		}
+		if memo != ref {
+			if o.mismatches == 0 {
+				o.first = fmt.Sprintf("socket %d running %s: memo %v, reference %v", i, bm.Name, memo, ref)
 			}
-			o := &predictiveOracle{memo: memo}
-			params := airflow.SUTParams()
-			params.Inlet = 55
-			s, err := New(Config{
-				Server:    srvCase.build(),
-				Scheduler: o,
-				Airflow:   params,
-				Mix:       mix,
-				Load:      load,
-				Seed:      3,
-				Duration:  0.3,
-				Warmup:    0.05,
-				SinkTau:   0.5,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Run()
-			if o.throttled < 100 {
-				t.Errorf("%s load %.1f: only %d of %d picks saw a throttled estimate", srvCase.name, load, o.throttled, o.picks)
-			}
-			if o.mismatches > 0 {
-				t.Errorf("%s load %.1f: memoized Predictive differs from the reference on %d of %d picks (first for %s)",
-					srvCase.name, load, o.mismatches, o.picks, o.first)
+			o.mismatches++
+		}
+	}
+	return got
+}
+
+// TestPowerManagerPickMatchesReference asserts, after every tick of the
+// event engine, that each busy socket runs at exactly the frequency the
+// serial engine's reference search (pickFrequencyIndexed) picks: the run's
+// ladder search clamped to the boost cap. It covers CP and Predictive — the
+// schedulers that fill the same memo — at 30%, 70% and 90% load on the SUT,
+// on a mixed-SKU SUT whose TDPs differ (no shared bounds pool) and on one
+// whose SKUs differ only in FMax. A short boost window lets the utilization
+// tiers bind within the run, so the cap clamp decides picks, not only the
+// thermal limit.
+func TestPowerManagerPickMatchesReference(t *testing.T) {
+	for _, c := range memoCases {
+		for _, name := range []string{"Predictive", "CP"} {
+			for _, load := range []float64{0.3, 0.7, 0.9} {
+				sch, err := sched.ByName(name, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var checked, capBound, heatBound, mismatches int
+				var first string
+				cfg := hotAisleConfig(t, c, sch, load)
+				cfg.BoostWindow = 0.02
+				cfg.Probe = func(s *Simulator, now units.Seconds) {
+					for i, running := range s.jobs {
+						if running == nil {
+							continue
+						}
+						id := geometry.SocketID(i)
+						want := s.pickFrequencyIndexed(id)
+						uncapped := chipmodel.PredictFrequency(s.amb[i], running.Benchmark.DynamicPowerAt, s.srv.Sink(id), s.leakAt[i])
+						checked++
+						if uncapped > s.caps[i] {
+							capBound++
+						}
+						if uncapped < chipmodel.FMax {
+							heatBound++
+						}
+						if s.freq[i] != want {
+							if mismatches == 0 {
+								first = fmt.Sprintf("t=%v socket %d: freq %v, reference %v (cap %v)", now, i, s.freq[i], want, s.caps[i])
+							}
+							mismatches++
+						}
+					}
+				}
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSharedPool(t, s, c)
+				if !s.eng.incremental {
+					t.Fatal("the default engine is not the event engine")
+				}
+				s.Run()
+				tag := fmt.Sprintf("%s/%s load %.1f", c.name, name, load)
+				if capBound < 100 || heatBound < 100 {
+					t.Errorf("%s: of %d checks only %d were cap-bound and %d heat-bound", tag, checked, capBound, heatBound)
+				}
+				if mismatches > 0 {
+					t.Errorf("%s: %d of %d busy-socket frequencies differ from the reference search; first %s", tag, mismatches, checked, first)
+				}
 			}
 		}
 	}

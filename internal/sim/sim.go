@@ -332,8 +332,9 @@ type Simulator struct {
 	// jobPool recycles completed jobs' allocations into later arrivals,
 	// keeping the steady-state event path allocation-free. Safe because a
 	// completed job is unreachable once completeJob's hooks return: the
-	// socket drops its pointer, the pick caches are invalidated, and every
-	// metrics/telemetry/checks consumer copies values.
+	// socket drops its pointer, the ladder search keys by benchmark value
+	// (DynMax) rather than by job, and every metrics/telemetry/checks
+	// consumer copies values.
 	jobPool job.Pool
 	source  job.Source
 	col     *metrics.Collector
@@ -495,7 +496,8 @@ func New(cfg Config) (*Simulator, error) {
 		s.caps[i] = s.capFor(i, s.util[i])
 	}
 	s.vec = sched.StateVectors{Amb: s.amb, Pewma: s.pewma, RExt: s.rext, Hist: s.hist,
-		Job: s.jobs, Leak: s.leakAt, Cap: s.caps, Epoch: s.laneEpoch}
+		Job: s.jobs, Leak: s.leakAt, Cap: s.caps, Epoch: s.laneEpoch,
+		Ladder: sched.NewLadderSearch(s.srv, s.leakAt)}
 	return s, nil
 }
 
@@ -808,11 +810,10 @@ func (s *Simulator) completeJob(id geometry.SocketID, t units.Seconds) {
 	s.jobs[id] = nil
 	s.freq[id] = 0
 	s.markIdle(int(id))
-	s.eng.invalidatePick(int(id))
 	s.setDoneAt(int(id), neverDone)
 	s.setPower(int(id), s.idlePow(int(id)))
-	// j is unreachable now — every hook above copied what it needed and the
-	// pick caches were invalidated — so its allocation feeds the next arrival.
+	// j is unreachable now — every hook above copied what it needed, and no
+	// memo keys by job identity — so its allocation feeds the next arrival.
 	s.jobPool.Put(j)
 }
 

@@ -32,7 +32,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
+	"densim/internal/chipmodel"
 	"densim/internal/geometry"
 	"densim/internal/job"
 	"densim/internal/metrics"
@@ -97,7 +99,8 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 // Duration and DrainLimit may differ). The payload is decoded twice: first
 // into a throwaway staging simulator, a pass that does all the validation,
 // and only then into this one. Every derived structure — completion heap,
-// idle set, caps, airflow model, engine caches — is then rebuilt. On any
+// idle set, caps, airflow model, lane epochs and dirty flags — is then
+// rebuilt; the ladder search is value-keyed, so it needs no reset. On any
 // validation failure the simulator is left untouched.
 func (s *Simulator) Restore(data []byte) error {
 	if err := s.snapshotable(); err != nil {
@@ -153,7 +156,6 @@ func (s *Simulator) Restore(data []byte) error {
 		default:
 			s.idleSet = append(s.idleSet, geometry.SocketID(i))
 		}
-		s.eng.invalidatePick(i)
 	}
 	if s.flt != nil {
 		// The airflow model must match the restored flow factor and inlet;
@@ -218,12 +220,15 @@ func decodeState(payload []byte, t *Simulator, src sourceSnapshotter, rng sched.
 // collector and the fault runtime. Encoding reads t, src and rng; decoding
 // writes them and validates everything a reachable state guarantees.
 func (c *snapCodec) state(t *Simulator, src sourceSnapshotter, rng sched.RNGCarrier) {
-	// Clock and counters.
+	// Clock and counters. The clock must be a finite non-negative instant:
+	// at -1e300 each tick's now += dt is absorbed and the run never ends.
 	f64(c, &t.now)
+	c.check(finite(t.now) && t.now >= 0, "sim: snapshot clock %v", t.now)
 	u64(c, &t.nextID)
 	u64(c, &t.arrived)
 	u64(c, &t.migrations)
 	f64(c, &t.nextMigration)
+	c.check(finite(t.nextMigration) && t.nextMigration >= 0, "sim: snapshot next migration %v", t.nextMigration)
 	u64(c, &t.telTicks)
 	c.flags("ended", &t.ended)
 	// Sockets.
@@ -245,8 +250,20 @@ func (c *snapCodec) state(t *Simulator, src sourceSnapshotter, rng sched.RNGCarr
 		f64(c, &t.util[i])
 		f64(c, &t.pewma[i])
 		f64(c, &t.powers[i])
-		f64(c, &t.sockets[i].lastUpdate)
-		f64(c, &t.sockets[i].doneAt)
+		st := &t.sockets[i]
+		f64(c, &st.lastUpdate)
+		f64(c, &st.doneAt)
+		// A socket is accounted up to an instant no later than the clock. A
+		// busy socket runs at a ladder point and completes no earlier than
+		// that instant (its remaining work is clipped at zero); an idle or
+		// dead one has no frequency and never completes.
+		c.check(finite(st.lastUpdate) && st.lastUpdate <= t.now, "sim: snapshot socket %d accounted to %v, clock %v", i, st.lastUpdate, t.now)
+		if busy {
+			c.check(slices.Contains(chipmodel.Frequencies, t.freq[i]), "sim: snapshot busy socket %d at %v, not a ladder point", i, t.freq[i])
+			c.check(st.doneAt >= st.lastUpdate, "sim: snapshot busy socket %d completes at %v, before %v", i, st.doneAt, st.lastUpdate)
+		} else {
+			c.check(t.freq[i] == 0 && st.doneAt == neverDone, "sim: snapshot idle socket %d at %v completing at %v", i, t.freq[i], st.doneAt)
+		}
 	}
 	// Pending queue, FIFO order.
 	nq := t.queue.Len()
@@ -362,6 +379,7 @@ func (c *snapCodec) faults(t *Simulator) {
 	c.flags("ramp", &f.rampActive)
 	f64(c, &f.rampStart)
 	f64(c, &f.rampLen)
+	c.check(finite(f.rampStart) && finite(f.rampLen) && f.rampLen >= 0, "sim: snapshot inlet ramp from %v over %v", f.rampStart, f.rampLen)
 	f64(c, &f.rampFrom)
 	f64(c, &f.rampTo)
 	u64(c, &f.requeues)
@@ -385,6 +403,11 @@ type snapCodec struct {
 // minJobRecord is a job's smallest encoding: ID, an empty-named benchmark
 // (length, class, four floats) and five floats.
 const minJobRecord = 8 + 4 + 4 + 4*8 + 5*8
+
+// finite reports that x is neither NaN nor infinite.
+func finite[T ~float64](x T) bool {
+	return !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0)
+}
 
 // check latches a validation failure while decoding.
 func (c *snapCodec) check(ok bool, format string, args ...any) {

@@ -272,3 +272,121 @@ func TestSnapshotRejectsForgedFaultRuntime(t *testing.T) {
 		{"flow factor +Inf", at + 24, le(math.Inf(1))},
 	})
 }
+
+// socketFields returns the offset of socket i's nine-float record (freq,
+// amb, chip, hist, util, pewma, powers, lastUpdate, doneAt) in payload.
+func socketFields(t *testing.T, s *Simulator, payload []byte, i int) int {
+	t.Helper()
+	st := s.sockets[i]
+	return locate(t, payload, le(float64(s.freq[i]), float64(s.amb[i]), float64(s.chip[i]), float64(s.hist[i]),
+		s.util[i], float64(s.pewma[i]), float64(s.powers[i]), float64(st.lastUpdate), float64(st.doneAt)))
+}
+
+// floatCapture runs the CP snapshot configuration to 0.3 s and returns the
+// simulator with its capture split into header and payload, plus one busy
+// and one idle socket.
+func floatCapture(t *testing.T) (s *Simulator, header, payload []byte, busy, idle int) {
+	t.Helper()
+	s, err := New(snapConfig(t, "CP", EngineConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunTo(0.3)
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, payload = splitCapture(data)
+	busy, idle = -1, -1
+	for i := range s.sockets {
+		if s.jobs[i] != nil && busy < 0 {
+			busy = i
+		}
+		if s.jobs[i] == nil && idle < 0 {
+			idle = i
+		}
+	}
+	if busy < 0 || idle < 0 {
+		t.Fatalf("capture has busy socket %d and idle socket %d, want one of each", busy, idle)
+	}
+	return s, header, payload, busy, idle
+}
+
+// TestSnapshotRejectsForgedClock pins that the clock and the next migration
+// instant must be finite and non-negative. A clock resealed to -1e300 used
+// to be accepted, and Finish then never returned: each tick's now += dt is
+// absorbed at that magnitude.
+func TestSnapshotRejectsForgedClock(t *testing.T) {
+	_, header, payload, _, _ := floatCapture(t)
+	const now, nextMigration = 0, 32 // payload offsets: the clock leads
+	expectRejected(t, func() Config { return snapConfig(t, "CP", EngineConfig{}) }, header, payload, 1<<20, []forgery{
+		{"clock -1e300", now, le(-1e300)},
+		{"clock -1", now, le(-1.0)},
+		{"clock NaN", now, le(math.NaN())},
+		{"clock +Inf", now, le(math.Inf(1))},
+		{"next migration -1", nextMigration, le(-1.0)},
+		{"next migration NaN", nextMigration, le(math.NaN())},
+		{"next migration +Inf", nextMigration, le(math.Inf(1))},
+	})
+}
+
+// TestSnapshotRejectsForgedAccounting pins the per-socket accounting
+// instants: lastUpdate must be finite and no later than the clock, a busy
+// socket cannot complete before it, and an idle socket never completes.
+func TestSnapshotRejectsForgedAccounting(t *testing.T) {
+	s, header, payload, busy, idle := floatCapture(t)
+	b, i := socketFields(t, s, payload, busy), socketFields(t, s, payload, idle)
+	last := float64(s.sockets[busy].lastUpdate)
+	expectRejected(t, func() Config { return snapConfig(t, "CP", EngineConfig{}) }, header, payload, 1<<20, []forgery{
+		{"lastUpdate after the clock", b + 56, le(float64(s.now) + 1)},
+		{"lastUpdate NaN", b + 56, le(math.NaN())},
+		{"lastUpdate -Inf", i + 56, le(math.Inf(-1))},
+		{"busy doneAt before lastUpdate", b + 64, le(last - 1e-3)},
+		{"busy doneAt NaN", b + 64, le(math.NaN())},
+		{"idle doneAt finite", i + 64, le(float64(s.now) + 1)},
+		{"idle doneAt NaN", i + 64, le(math.NaN())},
+	})
+}
+
+// TestSnapshotRejectsForgedFrequency pins that a busy socket runs at a
+// ladder point and an idle one at zero. A busy socket at frequency 0 used
+// to be accepted and then panicked in RelPerf on the first tick.
+func TestSnapshotRejectsForgedFrequency(t *testing.T) {
+	s, header, payload, busy, idle := floatCapture(t)
+	b, i := socketFields(t, s, payload, busy), socketFields(t, s, payload, idle)
+	expectRejected(t, func() Config { return snapConfig(t, "CP", EngineConfig{}) }, header, payload, 1<<20, []forgery{
+		{"busy at 0 MHz", b, le(0.0)},
+		{"busy at 1234 MHz", b, le(1234.0)},
+		{"busy at NaN", b, le(math.NaN())},
+		{"idle at 1100 MHz", i, le(1100.0)},
+	})
+}
+
+// TestSnapshotRejectsForgedRamp pins the inlet ramp's times: its start and
+// length must be finite and its length non-negative.
+func TestSnapshotRejectsForgedRamp(t *testing.T) {
+	cfg := func() Config { return faultConfig(t, "CP", EngineConfig{}, nil) }
+	s, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunTo(0.25)
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, payload := splitCapture(data)
+	fl := s.flt
+	at := locate(t, payload, le(fl.cursor, fl.working, fl.derate, fl.flowFactor, float64(fl.fanPowerW)))
+	start := at + 8*7 + 1 // past the fault-runtime words above, the fan energy, the inlet and the ramp flag
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(payload[start:])); got != float64(fl.rampStart) {
+		t.Fatalf("ramp start offset reads %v, want %v", got, fl.rampStart)
+	}
+	expectRejected(t, cfg, header, payload, 1<<20, []forgery{
+		{"ramp start NaN", start, le(math.NaN())},
+		{"ramp start -Inf", start, le(math.Inf(-1))},
+		{"ramp length -1", start + 8, le(-1.0)},
+		{"ramp length NaN", start + 8, le(math.NaN())},
+		{"ramp length +Inf", start + 8, le(math.Inf(1))},
+	})
+}
