@@ -418,14 +418,27 @@ func (c *AdmissCache) Admissible(entity, idx int, ambient units.Celsius, dynW un
 // fast path skips Admissible's bound-tightening side effects, which is
 // sound because bounds only ever prove verdicts, never change them.
 func (c *AdmissCache) AdmissibleRow(row BoundsRow, entity, idx int, ambient units.Celsius, dynW units.Watts, sink Sink, leak Leakage) bool {
-	if row != nil {
-		b := &row[idx]
-		if ambient == b.admLE || ambient <= b.admLE-admissMargin {
-			return true
-		}
-		if ambient == b.inadGE || ambient >= b.inadGE+admissMargin {
-			return false
-		}
+	if ok, decided := row.Decides(idx, ambient); decided {
+		return ok
 	}
 	return c.Admissible(entity, idx, ambient, dynW, sink, leak)
+}
+
+// Decides reports whether the snapshot's bounds alone decide the idx-th
+// P-state's verdict at ambient, under the same equality-replay and
+// admissMargin rules as every other bounds level, and if so the verdict —
+// exactly what a fresh PredictTwoStep comparison would return. A nil row
+// decides nothing.
+func (row BoundsRow) Decides(idx int, ambient units.Celsius) (ok, decided bool) {
+	if row == nil {
+		return false, false
+	}
+	b := &row[idx]
+	if ambient == b.admLE || ambient <= b.admLE-admissMargin {
+		return true, true
+	}
+	if ambient == b.inadGE || ambient >= b.inadGE+admissMargin {
+		return false, true
+	}
+	return false, false
 }

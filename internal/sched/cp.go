@@ -78,8 +78,9 @@ type CouplingPredictor struct {
 	scoreEpoch  []uint64
 	scoreDynMax []units.Watts
 	scoreVal    []float64
-	// vec holds the state's per-socket vectors for the duration of one Pick.
+	// vec and srv are the state and server the memos were filled from.
 	vec *StateVectors
+	srv *geometry.Server
 }
 
 // CPOptions selects CP design-point ablations. The zero value is the full
@@ -133,39 +134,8 @@ func (cp *CouplingPredictor) Name() string {
 // Pick implements Scheduler.
 func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	srv := s.Server()
-	cp.vec = s.Vectors()
-
-	if len(cp.rowOf) < srv.NumSockets() {
-		n := srv.NumSockets()
-		cp.ownTempAmb = make([]units.Celsius, n)
-		cp.ownTempDynW = make([]units.Watts, n)
-		cp.ownTempLeakW = make([]units.Watts, n)
-		cp.rowOf = make([]int32, n)
-		for i := 0; i < n; i++ {
-			cp.rowOf[i] = int32(srv.Socket(geometry.SocketID(i)).Row)
-		}
-		cp.rowsMono = true
-		for i := 1; i < n; i++ {
-			if cp.rowOf[i] < cp.rowOf[i-1] {
-				cp.rowsMono = false
-				break
-			}
-		}
-		cp.chanOf = make([]int32, n)
-		cp.scoreEpoch = make([]uint64, n)
-		cp.scoreDynMax = make([]units.Watts, n)
-		cp.scoreVal = make([]float64, n)
-		af := s.Airflow()
-		for ch := 0; ch < af.NumChannels(); ch++ {
-			for _, id := range af.Channel(ch) {
-				cp.chanOf[id] = int32(ch)
-			}
-		}
-		nan := math.NaN()
-		for i := 0; i < n; i++ {
-			cp.ownTempAmb[i] = units.Celsius(nan)
-			cp.scoreDynMax[i] = units.Watts(nan)
-		}
+	if v := s.Vectors(); v != cp.vec {
+		cp.reset(s, v)
 	}
 
 	cands := idle
@@ -235,6 +205,48 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 		}
 	}
 	return best
+}
+
+// reset binds the memos to a new simulation's state. Its epochs restart
+// and its sockets may carry other sinks and leakage curves, so every memo
+// entry is forgotten; the per-server layout is rebuilt for a new server.
+func (cp *CouplingPredictor) reset(s State, v *StateVectors) {
+	srv := s.Server()
+	n := srv.NumSockets()
+	if srv != cp.srv {
+		cp.ownTempAmb = make([]units.Celsius, n)
+		cp.ownTempDynW = make([]units.Watts, n)
+		cp.ownTempLeakW = make([]units.Watts, n)
+		cp.rowOf = make([]int32, n)
+		for i := 0; i < n; i++ {
+			cp.rowOf[i] = int32(srv.Socket(geometry.SocketID(i)).Row)
+		}
+		cp.rowsMono = true
+		for i := 1; i < n; i++ {
+			if cp.rowOf[i] < cp.rowOf[i-1] {
+				cp.rowsMono = false
+				break
+			}
+		}
+		cp.chanOf = make([]int32, n)
+		af := s.Airflow()
+		for ch := 0; ch < af.NumChannels(); ch++ {
+			for _, id := range af.Channel(ch) {
+				cp.chanOf[id] = int32(ch)
+			}
+		}
+		cp.scoreEpoch = make([]uint64, n)
+		cp.scoreDynMax = make([]units.Watts, n)
+		cp.scoreVal = make([]float64, n)
+		cp.rowIdle, cp.rows = nil, nil
+		cp.srv = srv
+	}
+	nan := math.NaN()
+	for i := 0; i < n; i++ {
+		cp.ownTempAmb[i] = units.Celsius(nan)
+		cp.scoreDynMax[i] = units.Watts(nan)
+	}
+	cp.vec = v
 }
 
 // scoreCached replays the whole-score memo when the candidate's channel

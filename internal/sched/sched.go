@@ -12,7 +12,32 @@
 // (StateVectors.SocketTemp), and Predictive and CP read frequencies from
 // the simulation's one memoized ladder search (StateVectors.Ladder), the
 // same one its power manager picks through.
-// Schedulers must be deterministic given their construction-time seed.
+//
+// A pick scores every idle socket, many times per tick, while the inputs
+// of most scores have not moved. So no policy recomputes a score whose
+// inputs are unchanged, by one of two exact keys:
+//
+//   - Value keys: the ladder search replays a frequency when the socket's
+//     ambient and the job's power curve are bit-equal to a past search.
+//     Predictive (per-curve entries, LadderCurve) and CP read it.
+//   - Lane epochs (StateVectors.Epoch): CP replays a candidate's whole
+//     score while its channel's epoch and the job's DynMax hold; CN
+//     re-reads a channel's socket temperatures only when its epoch moved,
+//     and rescores only the sockets next to a temperature that changed;
+//     Balanced keeps each channel's hottest socket until the channel
+//     moves. An unchanged epoch proves every input the channel contributes
+//     bit-identical, so the replayed value is the one a fresh evaluation
+//     would produce; epochs are only ever compared for equality, never
+//     ordered. Each of these policies binds its memo to the StateVectors it
+//     was filled from and empties it when handed another simulation's,
+//     whose epochs restart.
+//
+// Predictive also skips the estimate of every socket whose score cannot
+// beat the best so far (see Predictive.Pick). CF, HF, MinHR, Balanced-L
+// and A-Random score a socket with a handful of loads, cheaper than any
+// memo lookup, and Random scores nothing. Picks are bit-identical to the
+// unmemoized policies, ties going to the lowest socket ID. Schedulers must
+// be deterministic given their construction-time seed.
 package sched
 
 import (
@@ -46,8 +71,8 @@ type State interface {
 // StateVectors is the live per-socket state, indexed by socket ID (Epoch by
 // airflow channel). The slices alias the simulator's storage: they are valid
 // for the duration of one Pick and must never be written by schedulers.
-// Ladder is the one exception: schedulers may fill its memo through Index
-// and IndexBelow, and may write nothing else.
+// Ladder is the one exception: schedulers may fill its memo through its
+// Index and Curve methods and LadderCurve.Index, and may write nothing else.
 //
 //   - Amb[i] is the socket's current entry air temperature.
 //   - Pewma[i] is the socket's 30-second power average, the heatsink-mass
@@ -73,11 +98,18 @@ type State interface {
 //     placement/completion/migration, a fault application, a state restore)
 //     advances it first. Schedulers use it to memoize per-socket
 //     predictions and replay them on an unchanged epoch: exact by replay,
-//     since an unchanged epoch proves every input bit-identical.
+//     since an unchanged epoch proves every input bit-identical. CP keys a
+//     candidate's whole score on its channel's epoch; CN re-reads, on each
+//     pick, the socket temperatures of the channels whose epoch moved since
+//     the last pick; Balanced rescans only those channels for the hottest
+//     socket. Only equality is ever tested, and only within one
+//     simulation: a new simulation's epochs restart at zero, so a memo is
+//     bound to the StateVectors it was filled from.
 //   - Ladder is the simulation's one frequency search (see LadderSearch),
 //     value-keyed and so never invalidated. The power manager picks through
 //     it too, so a scheduler's prediction for a busy socket is usually the
-//     memo entry the socket's last pick left.
+//     memo entry the socket's last pick left, and an idle socket keeps one
+//     entry per power curve it was priced for.
 type StateVectors struct {
 	Amb    []units.Celsius
 	Pewma  []units.Watts
@@ -193,53 +225,189 @@ func (MinHR) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.Socket
 // CoolestNeighbors (CN) [54] extends CF with the neighborhood: it scores a
 // location by its own temperature plus the mean of its neighbors', placing
 // jobs where the whole vicinity is cool.
-type CoolestNeighbors struct{}
+//
+// A score reads the socket temperatures of the socket and its neighbours.
+// CN keeps every socket's temperature and score. On each pick it
+// re-evaluates the temperatures of the channels whose epoch moved since the
+// last pick (see StateVectors.Epoch) and marks stale the scores that read a
+// temperature that changed, so a pick rescores only the sockets whose
+// neighbourhood got warmer or cooler — not those next to a placement, which
+// moves an epoch but no temperature until the next sweep.
+type CoolestNeighbors struct {
+	vec *StateVectors
+	srv *geometry.Server
+	// Compressed sparse rows, built once per server: socket i's neighbours
+	// are nbrs[nbrOff[i]:nbrOff[i+1]] in AppendNeighbors order. Adjacency
+	// is symmetric, so they are also the other sockets whose score reads
+	// socket i's temperature.
+	nbrOff, nbrs []int32
+	// seen[ch] is channel ch's epoch at the last pick, temp[i] socket i's
+	// temperature as of then; val[i] is socket i's score unless stale[i].
+	seen  []uint64
+	temp  []float64
+	stale []bool
+	val   []float64
+}
 
 // Name implements Scheduler.
-func (CoolestNeighbors) Name() string { return "CN" }
+func (*CoolestNeighbors) Name() string { return "CN" }
 
 // Pick implements Scheduler.
-func (CoolestNeighbors) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
-	srv := s.Server()
-	v := s.Vectors()
+func (cn *CoolestNeighbors) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
+	v, af := s.Vectors(), s.Airflow()
+	if v != cn.vec {
+		cn.reset(s, v)
+	}
+	for ch, e := range v.Epoch {
+		if cn.seen[ch] == e {
+			continue
+		}
+		cn.seen[ch] = e
+		for _, id := range af.Channel(ch) {
+			if t := float64(v.SocketTemp(id)); t != cn.temp[id] {
+				cn.temp[id] = t
+				cn.stale[id] = true
+				for _, n := range cn.nbrs[cn.nbrOff[id]:cn.nbrOff[id+1]] {
+					cn.stale[n] = true
+				}
+			}
+		}
+	}
 	return argBest(idle, func(id geometry.SocketID) float64 {
-		own := float64(v.SocketTemp(id))
-		var nsum float64
-		var buf [6]geometry.SocketID
-		neigh := srv.AppendNeighbors(buf[:0], id)
-		for _, n := range neigh {
-			nsum += float64(v.SocketTemp(n))
+		if cn.stale[id] {
+			cn.stale[id] = false
+			own := cn.temp[id]
+			cn.val[id] = own * 2
+			if neigh := cn.nbrs[cn.nbrOff[id]:cn.nbrOff[id+1]]; len(neigh) > 0 {
+				var nsum float64
+				for _, n := range neigh {
+					nsum += cn.temp[n]
+				}
+				cn.val[id] = own + nsum/float64(len(neigh))
+			}
 		}
-		if len(neigh) == 0 {
-			return own * 2
-		}
-		return own + nsum/float64(len(neigh))
+		return cn.val[id]
 	})
+}
+
+// reset binds the memo to a new simulation's state, reading every
+// temperature afresh with every score stale, and lays out the neighbour
+// rows when the server is new too.
+func (cn *CoolestNeighbors) reset(s State, v *StateVectors) {
+	srv := s.Server()
+	n := srv.NumSockets()
+	if srv != cn.srv {
+		cn.nbrOff = make([]int32, n+1)
+		var nb [6]geometry.SocketID
+		for i := 0; i < n; i++ {
+			cn.nbrOff[i+1] = cn.nbrOff[i] + int32(len(srv.AppendNeighbors(nb[:0], geometry.SocketID(i))))
+		}
+		cn.nbrs = make([]int32, 0, cn.nbrOff[n])
+		for i := 0; i < n; i++ {
+			for _, id := range srv.AppendNeighbors(nb[:0], geometry.SocketID(i)) {
+				cn.nbrs = append(cn.nbrs, int32(id))
+			}
+		}
+		cn.seen = make([]uint64, len(v.Epoch))
+		cn.temp = make([]float64, n)
+		cn.stale = make([]bool, n)
+		cn.val = make([]float64, n)
+		cn.srv = srv
+	}
+	copy(cn.seen, v.Epoch)
+	for i := 0; i < n; i++ {
+		cn.temp[i] = float64(v.SocketTemp(geometry.SocketID(i)))
+		cn.stale[i] = true
+	}
+	cn.vec = v
 }
 
 // Balanced [54][55] maintains a uniform thermal profile by scheduling work
 // as far as possible from the current hottest point of the server.
-type Balanced struct{}
+//
+// It keeps the hottest socket of each airflow channel under the channel's
+// epoch, so a pick rescans only the channels that changed since the last
+// one, and each socket's distance from the hottest point under that point's
+// ID.
+type Balanced struct {
+	vec *StateVectors
+	srv *geometry.Server
+	// hotID[ch] is channel ch's hottest socket above the -1e9 floor (-1 for
+	// none) and hotT[ch] its temperature, as of epoch hotEpoch[ch].
+	hotEpoch []uint64
+	hotID    []geometry.SocketID
+	hotT     []units.Celsius
+	// dist[i] is -Distance(distFrom[i], i), distFrom[i] -1 for none.
+	distFrom []int32
+	dist     []float64
+}
 
 // Name implements Scheduler.
-func (Balanced) Name() string { return "Balanced" }
+func (*Balanced) Name() string { return "Balanced" }
 
 // Pick implements Scheduler.
-func (Balanced) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
-	srv := s.Server()
-	v := s.Vectors()
-	// Locate the hottest socket in the whole server (IDs ascending, first
-	// maximum wins).
+func (b *Balanced) Pick(s State, _ *job.Job, idle []geometry.SocketID) geometry.SocketID {
+	v, af := s.Vectors(), s.Airflow()
+	if v != b.vec {
+		b.reset(s, v, af)
+	}
+	// Locate the hottest socket in the whole server (first maximum in
+	// ascending ID order), from each channel's lowest-ID maximum.
 	hottest := geometry.SocketID(0)
 	hotT := units.Celsius(-1e9)
-	for i := range v.Amb {
-		if t := v.SocketTemp(geometry.SocketID(i)); t > hotT {
-			hottest, hotT = geometry.SocketID(i), t
+	for ch, e := range v.Epoch {
+		if b.hotEpoch[ch] != e {
+			b.rescan(ch, af.Channel(ch))
+			b.hotEpoch[ch] = e
+		}
+		if id := b.hotID[ch]; id >= 0 {
+			if t := b.hotT[ch]; t > hotT || (t == hotT && id < hottest) {
+				hottest, hotT = id, t
+			}
 		}
 	}
+	srv := b.srv
 	return argBest(idle, func(id geometry.SocketID) float64 {
-		return -float64(srv.Distance(hottest, id))
+		if b.distFrom[id] != int32(hottest) {
+			b.distFrom[id] = int32(hottest)
+			b.dist[id] = -float64(srv.Distance(hottest, id))
+		}
+		return b.dist[id]
 	})
+}
+
+// rescan finds the hottest of channel ch's sockets.
+func (b *Balanced) rescan(ch int, members []geometry.SocketID) {
+	hot, hotT := geometry.SocketID(-1), units.Celsius(-1e9)
+	for _, id := range members {
+		if t := b.vec.SocketTemp(id); t > hotT || (t == hotT && hot >= 0 && id < hot) {
+			hot, hotT = id, t
+		}
+	}
+	b.hotID[ch], b.hotT[ch] = hot, hotT
+}
+
+// reset binds the memo to a new simulation's state, rescanning every
+// channel, and sizes the memos (emptying the distance memo) when the server
+// is new too.
+func (b *Balanced) reset(s State, v *StateVectors, af *airflow.Model) {
+	if srv := s.Server(); srv != b.srv {
+		nch, n := len(v.Epoch), srv.NumSockets()
+		b.hotEpoch = make([]uint64, nch)
+		b.hotID = make([]geometry.SocketID, nch)
+		b.hotT = make([]units.Celsius, nch)
+		b.distFrom = make([]int32, n)
+		b.dist = make([]float64, n)
+		for i := range b.distFrom {
+			b.distFrom[i] = -1
+		}
+		b.srv = srv
+	}
+	b.vec = v
+	for ch, e := range v.Epoch {
+		b.rescan(ch, af.Channel(ch))
+		b.hotEpoch[ch] = e
+	}
 }
 
 // BalancedLocations (Balanced-L) [55] prefers locations that are expected to
@@ -325,19 +493,40 @@ type Predictive struct{}
 // Name implements Scheduler.
 func (Predictive) Name() string { return "Predictive" }
 
-// Pick implements Scheduler.
+// Pick implements Scheduler. It is argBest over the score below, except
+// that it skips the estimate of a socket whose score cannot beat the best
+// so far: no estimate exceeds min(Cap, FMax), so -1e3·min(Cap, FMax) + Amb
+// bounds the score from below (float multiplication and addition round
+// monotonically), and a later socket that only ties the best loses to the
+// lower ID anyway. Most idle sockets can run the job at their cap, so a
+// pick estimates little beyond the sockets cooler than its best so far.
 func (Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	v := s.Vectors()
 	bm := &j.Benchmark
-	dm := bm.DynMax()
-	return argBest(idle, func(id geometry.SocketID) float64 {
-		f := LadderFreq(v.Ladder.Index(id, bm, dm, v.Amb[id]))
+	curve := v.Ladder.Curve(bm, bm.DynMax())
+	score := func(id geometry.SocketID) float64 {
+		f := LadderFreq(curve.Index(id, v.Amb[id]))
 		if cap := v.Cap[id]; f > cap {
 			f = cap
 		}
 		// Maximize frequency; among equal frequencies prefer cooler air.
 		return -float64(f)*1e3 + float64(v.Amb[id])
-	})
+	}
+	best := idle[0]
+	bestScore := score(best)
+	for _, id := range idle[1:] {
+		top := chipmodel.FMax
+		if cap := v.Cap[id]; cap < top {
+			top = cap
+		}
+		if -float64(top)*1e3+float64(v.Amb[id]) >= bestScore {
+			continue
+		}
+		if sc := score(id); sc < bestScore {
+			best, bestScore = id, sc
+		}
+	}
+	return best
 }
 
 // PredictSocketFrequency estimates the frequency a job with the given
@@ -366,9 +555,9 @@ func ByName(name string, seed uint64) (Scheduler, error) {
 	case "MinHR":
 		return MinHR{}, nil
 	case "CN":
-		return CoolestNeighbors{}, nil
+		return &CoolestNeighbors{}, nil
 	case "Balanced":
-		return Balanced{}, nil
+		return &Balanced{}, nil
 	case "Balanced-L":
 		return BalancedLocations{}, nil
 	case "A-Random":

@@ -16,7 +16,8 @@ import (
 // the StateVectors formula over amb, pewma and rext, set through setTemp —
 // and moves every channel to a fresh epoch on each Vectors call, so no
 // epoch-keyed scheduler memo survives a test's mutation between picks, nor
-// a scheduler reused across two fakeStates.
+// a scheduler reused across two fakeStates. A frozen fakeState keeps its
+// epochs, as a simulation does between two changes of its state.
 type fakeState struct {
 	srv   *geometry.Server
 	af    *airflow.Model
@@ -30,6 +31,9 @@ type fakeState struct {
 	dead  []bool
 	epoch []uint64
 	vec   StateVectors
+	// frozen stops Vectors from advancing the epochs; set it only while
+	// nothing is mutated.
+	frozen bool
 }
 
 func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
@@ -85,9 +89,11 @@ func (f *fakeState) Busy(id geometry.SocketID) bool { return f.jobs[id] != nil |
 var fakeEpochs uint64
 
 func (f *fakeState) Vectors() *StateVectors {
-	fakeEpochs++
-	for ch := range f.epoch {
-		f.epoch[ch] = fakeEpochs
+	if !f.frozen {
+		fakeEpochs++
+		for ch := range f.epoch {
+			f.epoch[ch] = fakeEpochs
+		}
 	}
 	return &f.vec
 }
@@ -187,17 +193,19 @@ func TestCNAvoidsHotNeighborhood(t *testing.T) {
 	}
 	fs.setTemp(b, 22)
 	idle := []geometry.SocketID{a, b}
-	if got := (CoolestNeighbors{}).Pick(fs, compJob(), idle); got != b {
+	if got := (&CoolestNeighbors{}).Pick(fs, compJob(), idle); got != b {
 		t.Errorf("CN picked %d (hot neighborhood), want %d", got, b)
 	}
 }
 
 // TestSchedulerPicksDoNotAllocate: every policy's Pick is allocation-free
-// once warm — scratch buffers and memo tables sized, the job's power-curve
-// ladder built, CN's neighbors gathered into stack scratch. Each measured
-// pick first moves one socket's ambient and power average, so the memoized
-// policies exercise their miss paths too, and half the sockets run jobs,
-// so CP prices downwind losses.
+// once warm — scratch buffers and memo tables sized, the power-curve
+// entries of both jobs built, CN's neighbour rows laid out. Each measured
+// pick first moves one socket's ambient and power average (fresh epochs),
+// so the memoized policies exercise their miss paths; a second measurement
+// freezes the state and the epochs, so they replay their memos. Half the
+// sockets run jobs, so CP prices downwind losses, and the picks alternate
+// between two benchmarks, so Predictive and CP switch power curves.
 func TestSchedulerPicksDoNotAllocate(t *testing.T) {
 	srv := geometry.SUT()
 	fs := newFakeState(t, srv)
@@ -212,14 +220,14 @@ func TestSchedulerPicksDoNotAllocate(t *testing.T) {
 			idle = append(idle, sk.ID)
 		}
 	}
-	j := compJob()
+	jobs := []*job.Job{compJob(), job.New(2, workload.ByClass(workload.Storage)[0], 0, 0.004)}
 	for _, name := range Names() {
 		s, err := ByName(name, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			s.Pick(fs, j, idle)
+			s.Pick(fs, jobs[i%2], idle)
 		}
 		k := 0
 		if allocs := testing.AllocsPerRun(50, func() {
@@ -227,10 +235,18 @@ func TestSchedulerPicksDoNotAllocate(t *testing.T) {
 			k++
 			fs.amb[id] += 0.25
 			fs.pewma[id] += 0.5
-			s.Pick(fs, j, idle)
+			s.Pick(fs, jobs[k%2], idle)
 		}); allocs != 0 {
 			t.Errorf("%s Pick allocates %.1f objects/op, want 0", name, allocs)
 		}
+		fs.frozen = true
+		if allocs := testing.AllocsPerRun(50, func() {
+			k++
+			s.Pick(fs, jobs[k%2], idle)
+		}); allocs != 0 {
+			t.Errorf("%s memo-replaying Pick allocates %.1f objects/op, want 0", name, allocs)
+		}
+		fs.frozen = false
 	}
 }
 
@@ -239,7 +255,7 @@ func TestBalancedRunsFromHotspot(t *testing.T) {
 	fs := newFakeState(t, srv)
 	hot := srv.SocketAt(0, 0, 0).ID
 	fs.setTemp(hot, 95)
-	got := Balanced{}.Pick(fs, compJob(), idleSet(srv))
+	got := (&Balanced{}).Pick(fs, compJob(), idleSet(srv))
 	// The farthest point from row0/lane0/zone1 is row14/lane1/zone6.
 	want := srv.SocketAt(14, 1, 5).ID
 	if got != want {
@@ -423,6 +439,63 @@ func TestAllPoliciesReturnIdleSocket(t *testing.T) {
 			if !member[got] {
 				t.Fatalf("%s returned non-idle socket %d", name, got)
 			}
+		}
+	}
+}
+
+// TestEpochMemosBindToTheirState hands one scheduler two states whose lane
+// epochs are equal but whose temperatures mirror each other, as a scheduler
+// reused for a second simulation would see: that simulation's epochs restart
+// at zero and can meet the values the first one left. A memo keyed on epochs
+// alone would replay the first state's scores; each epoch-memoizing policy
+// must pick on the second state exactly as a fresh instance does.
+func TestEpochMemosBindToTheirState(t *testing.T) {
+	srv := geometry.SUT()
+	n := srv.NumSockets()
+	mirrored := func(flip bool) *fakeState {
+		fs := newFakeState(t, srv)
+		for i := 0; i < n; i++ {
+			k := i
+			if flip {
+				k = n - 1 - i
+			}
+			id := geometry.SocketID(i)
+			fs.amb[id] = units.Celsius(40 + k%30)
+			fs.setTemp(id, fs.amb[id]+units.Celsius(k%7))
+			if i%3 == 0 {
+				fs.jobs[id] = compJob()
+			}
+		}
+		for ch := range fs.epoch {
+			fs.epoch[ch] = 42
+		}
+		fs.frozen = true
+		return fs
+	}
+	first, second := mirrored(false), mirrored(true)
+	var idle []geometry.SocketID
+	for i := 0; i < n; i++ {
+		if i%3 != 0 {
+			idle = append(idle, geometry.SocketID(i))
+		}
+	}
+	j := compJob()
+	for _, name := range []string{"CN", "Balanced", "CP-global"} {
+		mk := func() Scheduler {
+			s, err := ByName(name, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		reused := mk()
+		onFirst := reused.Pick(first, j, idle)
+		want := mk().Pick(second, j, idle)
+		if want == onFirst {
+			t.Fatalf("%s picks %d on both states; the test needs states it tells apart", name, want)
+		}
+		if got := reused.Pick(second, j, idle); got != want {
+			t.Errorf("%s reused from another state picked %d, a fresh instance %d", name, got, want)
 		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 // TestSteadyStateHotPathsDoNotAllocate pins the per-tick and per-event hot
 // paths to zero steady-state heap allocations. It snapshots a live, busy
 // simulator mid-run (via the probe hook) and measures the power-manager
-// tick, the idle-set scan, the next-completion query, and a CP scheduler
-// placement decision with testing.AllocsPerRun. Only per-job bookkeeping
+// tick, the idle-set scan, the next-completion query, and the placement
+// decisions of CP and of every baseline policy that memoizes (CN, Balanced,
+// A-Random, Predictive) with testing.AllocsPerRun. Only per-job bookkeeping
 // (job.New at arrival) is allowed to allocate in steady state; everything
 // here must run from reused scratch.
 func TestSteadyStateHotPathsDoNotAllocate(t *testing.T) {
@@ -45,9 +46,11 @@ func TestSteadyStateHotPathsDoNotAllocate(t *testing.T) {
 			t.Errorf("idleSockets+nextCompletion allocate %.1f objects/op, want 0", allocs)
 		}
 
-		// A CP placement decision over the live state: warm the scheduler's
-		// scratch once, then demand allocation-free picks. The probe job is
-		// one already running elsewhere — Pick only reads it.
+		// Placement decisions over the live state: warm each memoized
+		// policy's scratch and caches once, then demand allocation-free
+		// picks, both replaying the memos (nothing moved) and after a tick
+		// that advanced the lane epochs. The probe job is one already
+		// running elsewhere — Pick only reads it.
 		var j *job.Job
 		for _, running := range s.jobs {
 			if running != nil {
@@ -58,12 +61,23 @@ func TestSteadyStateHotPathsDoNotAllocate(t *testing.T) {
 		if j == nil {
 			t.Fatal("no running job despite busy sockets")
 		}
-		cp := sched.NewCouplingPredictor(1)
-		cp.Pick(s, j, idle)
-		if allocs := testing.AllocsPerRun(50, func() {
-			cp.Pick(s, j, s.idleSockets())
-		}); allocs != 0 {
-			t.Errorf("CouplingPredictor.Pick allocates %.1f objects/op, want 0", allocs)
+		for _, name := range []string{"CP", "CN", "Balanced", "A-Random", "Predictive"} {
+			sch, err := sched.ByName(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sch.Pick(s, j, idle)
+			if allocs := testing.AllocsPerRun(50, func() {
+				sch.Pick(s, j, s.idleSockets())
+			}); allocs != 0 {
+				t.Errorf("%s Pick allocates %.1f objects/op, want 0", name, allocs)
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				s.powerManagerTick(tick)
+				sch.Pick(s, j, s.idleSockets())
+			}); allocs != 0 {
+				t.Errorf("%s Pick after a tick allocates %.1f objects/op, want 0", name, allocs)
+			}
 		}
 	}
 	_, s := runOne(t, cfg)

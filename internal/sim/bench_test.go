@@ -54,6 +54,11 @@ func BenchmarkSimSecondPredictive90(b *testing.B) { benchRun(b, "Predictive", 0.
 // while the own-frequency memo engages.
 func BenchmarkSimSecondPredictive50(b *testing.B) { benchRun(b, "Predictive", 0.5, nil) }
 
+// BenchmarkSimSecondCN50 is the CN half of scripts/bench.sh smoke's
+// neighbourhood-memo gate: its ratio to BenchmarkSimSecondCF50 stays low
+// only while CN's epoch-keyed score memo engages.
+func BenchmarkSimSecondCN50(b *testing.B) { benchRun(b, "CN", 0.5, nil) }
+
 // BenchmarkSimSecondCF90Telemetry is BenchmarkSimSecondCF90 with the full
 // observability layer installed — compare the two to measure the enabled
 // overhead (the PR's contract is ≤5% wall clock; see BENCH_PR3.json).

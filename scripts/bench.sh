@@ -27,13 +27,13 @@
 #       measurable; the 10% band only absorbs the shared runner's noise.
 #       Catches engine regressions that the bit-equivalence tests cannot
 #       (they check answers, not wall clock). It then runs the SUT at 50%
-#       load under Predictive and under CF the same alternating way
-#       (-benchtime 2x, five rounds) and fails if Predictive's median
-#       exceeds 2.8x CF's: Predictive's own-frequency memo and the
-#       admissibility cache behind it keep it near 2.4x CF on a 2-vCPU
-#       Xeon, against 3.2x for the unmemoized search. A memo that stops
-#       engaging still picks the same sockets, so only wall clock shows
-#       it. Last it runs the idle SUT
+#       load under Predictive, CN and CF the same alternating way
+#       (-benchtime 2x, five rounds) and fails if Predictive's or CN's
+#       median exceeds 2.0x CF's. Predictive's per-curve ladder entries and
+#       CN's neighbourhood score memo keep both at 1.1-1.5x CF on a 2-vCPU
+#       Xeon, against 2.1x and 2.2x for the per-socket ladder entry and the
+#       unmemoized CN score. A memo that stops engaging still picks the
+#       same sockets, so only wall clock shows it. Last it runs the idle SUT
 #       second the same two ways (-benchtime 20x) and fails if the default
 #       engine's median exceeds 0.25x serial's: that run is one dead tail,
 #       which the gap advance's dead-tail licence skips at about 0.05x
@@ -107,24 +107,25 @@ smoke)
 		(cd internal/sim && "$tmp/sim.test" -test.run XXX -test.bench "$1" \
 			-test.benchtime "$2" -test.count "${3:-1}" -test.timeout 10m)
 	}
-	# alternate <A> <B> <benchtime>: five rounds of the two benchmarks,
-	# alternating which of them goes first.
+	# alternate <benchtime> <A> <B> [C ...]: five rounds of the benchmarks,
+	# in the given order on odd rounds and in reverse on even ones.
 	alternate() {
-		local out="" round order b
+		local out="" round order b benchtime="$1"
+		shift
 		for round in 1 2 3 4 5; do
 			if [ $((round % 2)) -eq 1 ]; then
-				order="$1 $2"
+				order="$*"
 			else
-				order="$2 $1"
+				order="$(printf '%s\n' "$@" | tac | tr '\n' ' ')"
 			fi
 			for b in $order; do
 				out="$out
-$(simbench "^$b\$" "$3")"
+$(simbench "^$b\$" "$benchtime")"
 			done
 		done
 		echo "$out"
 	}
-	out="$(alternate BenchmarkSimSecondDD360CP90 BenchmarkSimSecondDD360CP90Serial 2x)"
+	out="$(alternate 2x BenchmarkSimSecondDD360CP90 BenchmarkSimSecondDD360CP90Serial)"
 	echo "$out"
 	serial="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondDD360CP90Serial" {print $2}')"
 	event="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondDD360CP90" {print $2}')"
@@ -138,18 +139,24 @@ $(simbench "^$b\$" "$3")"
 		echo "bench smoke: event engine >10% slower than serial" >&2
 		exit 1
 	fi
-	out="$(alternate BenchmarkSimSecondPredictive50 BenchmarkSimSecondCF50 2x)"
+	out="$(alternate 2x BenchmarkSimSecondPredictive50 BenchmarkSimSecondCN50 BenchmarkSimSecondCF50)"
 	echo "$out"
 	cf="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondCF50" {print $2}')"
 	pred="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondPredictive50" {print $2}')"
-	if [ -z "$cf" ] || [ -z "$pred" ]; then
-		echo "bench smoke: missing CF/Predictive medians" >&2
+	cn="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondCN50" {print $2}')"
+	if [ -z "$cf" ] || [ -z "$pred" ] || [ -z "$cn" ]; then
+		echo "bench smoke: missing CF/Predictive/CN medians" >&2
 		exit 1
 	fi
-	echo "CF50 median ${cf} ns/op, Predictive50 median ${pred} ns/op (5 alternating rounds)"
-	# Fail when Predictive > 2.8 x CF (integer math: 10*p > 28*c).
-	if [ $((10 * pred)) -gt $((28 * cf)) ]; then
-		echo "bench smoke: Predictive50 >2.8x CF50: the own-frequency memo did not engage" >&2
+	echo "CF50 median ${cf} ns/op, Predictive50 median ${pred} ns/op, CN50 median ${cn} ns/op (5 alternating rounds)"
+	# Fail when Predictive > 2.0 x CF (integer math: 10*p > 20*c).
+	if [ $((10 * pred)) -gt $((20 * cf)) ]; then
+		echo "bench smoke: Predictive50 >2.0x CF50: the per-curve ladder entries did not engage" >&2
+		exit 1
+	fi
+	# Fail when CN > 2.0 x CF (integer math: 10*n > 20*c).
+	if [ $((10 * cn)) -gt $((20 * cf)) ]; then
+		echo "bench smoke: CN50 >2.0x CF50: the neighbourhood score memo did not engage" >&2
 		exit 1
 	fi
 	out="$(simbench 'BenchmarkSimSecondIdle(Serial)?$' 20x 3)"
