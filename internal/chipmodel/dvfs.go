@@ -98,36 +98,6 @@ func HighestAdmissible(maxIdx int, admit func(int) bool) int {
 	return lo
 }
 
-// HighestAdmissibleFrom returns exactly what HighestAdmissible(maxIdx, admit)
-// returns, using hint — a guess at the answer, typically the previous tick's
-// pick — to spend fewer predicate evaluations when the answer has not moved.
-// When the hint is confirmed (admissible, and either at the cap or with an
-// inadmissible successor) it costs at most two evaluations; otherwise it
-// walks in the direction the monotone predicate indicates. admit must be
-// monotone exactly as for HighestAdmissible; out-of-range hints fall back to
-// the cold search.
-func HighestAdmissibleFrom(hint, maxIdx int, admit func(int) bool) int {
-	if hint < 0 || hint > maxIdx {
-		return HighestAdmissible(maxIdx, admit)
-	}
-	if !admit(hint) {
-		// Answer is strictly below the hint (monotonicity): walk down.
-		for i := hint - 1; i >= 0; i-- {
-			if admit(i) {
-				return i
-			}
-		}
-		return -1
-	}
-	// Hint admissible: walk up until the cap or the first inadmissible step.
-	for i := hint + 1; i <= maxIdx; i++ {
-		if !admit(i) {
-			return i - 1
-		}
-	}
-	return maxIdx
-}
-
 // PickFrequency implements the power-management policy of Section III-D:
 // run at the highest frequency (including boost) whose self-consistent
 // Equation-1 peak temperature stays below the 95C limit. If even the lowest

@@ -40,24 +40,12 @@ import (
 type CouplingPredictor struct {
 	rng  rng
 	opts CPOptions
-	// Per-Pick scratch, reused to keep the placement path allocation-free:
-	// rowIdle[row] collects the idle sockets of one cartridge row, rows
-	// lists the rows that have any.
-	rowIdle [][]geometry.SocketID
-	rows    []int
-	// rowOf[id] is the socket's cartridge row, precomputed so the per-Pick
-	// binning avoids copying a geometry.Socket per idle socket.
-	rowOf []int32
-	// rowsMono records that rowOf is non-decreasing in socket ID (true for
-	// the standard channel-major layout). Then each row's idle sockets form
-	// one contiguous run of the sorted idle slice, and the per-Pick binning
-	// reduces to boundary detection: rowStart[k] is the index in idle where
-	// rows[k]'s run begins (with a final sentinel at len(idle)), and a row's
-	// candidate list is a subslice — no per-socket appends. Rows are
-	// discovered in ascending ID order either way, so the rows list, the
-	// row-RNG draw, and each bin's contents are identical to the append
-	// binning below.
-	rowsMono bool
+	// rowOf[id] is the socket's cartridge row. geometry.New numbers sockets
+	// row-major, so rowOf never decreases in socket ID and each row's idle
+	// sockets form one contiguous run of the sorted idle slice. rowStart is
+	// per-Pick scratch: rowStart[k] is the index in idle where the k-th row
+	// with idle sockets begins, with a final sentinel at len(idle).
+	rowOf    []int32
 	rowStart []int32
 	// ownTemp* replay the leakage drawn at the candidate's predicted chip
 	// temperature when the (ambient, dynamic power) inputs are bit-unchanged:
@@ -65,20 +53,7 @@ type CouplingPredictor struct {
 	ownTempAmb   []units.Celsius
 	ownTempDynW  []units.Watts
 	ownTempLeakW []units.Watts
-	// Whole-score memo, off only under the IdleWeighted ablation (its
-	// utilization weight is a global that no lane epoch covers). A
-	// candidate's score reads only its own channel: its own ambient/boost
-	// cap, and the running jobs, ambients, and boost caps of its downwind
-	// sockets, which the advection model keeps strictly within one channel.
-	// So the memo key is (channel epoch, job DynMax): both unchanged proves
-	// every score input bit-identical, and the replayed float is the exact
-	// value a fresh evaluation would produce. chanOf[id] is the socket's
-	// channel index.
-	chanOf      []int32
-	scoreEpoch  []uint64
-	scoreDynMax []units.Watts
-	scoreVal    []float64
-	// vec and srv are the state and server the memos were filled from.
+	// vec and srv are the state and server the memo was filled from.
 	vec *StateVectors
 	srv *geometry.Server
 }
@@ -140,47 +115,17 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 
 	cands := idle
 	if !cp.opts.GlobalSearch {
-		if cp.rowsMono {
-			// Fast binning: rows are contiguous runs of the sorted idle
-			// slice, so one boundary-detection pass replaces per-socket
-			// appends. Runs are found in ascending ID (= ascending first
-			// occurrence) order, matching the append binning's rows list.
-			cp.rows = cp.rows[:0]
-			cp.rowStart = cp.rowStart[:0]
-			cur := int32(-1)
-			for k, id := range idle {
-				if r := cp.rowOf[id]; r != cur {
-					cur = r
-					cp.rows = append(cp.rows, int(r))
-					cp.rowStart = append(cp.rowStart, int32(k))
-				}
+		cp.rowStart = cp.rowStart[:0]
+		cur := int32(-1)
+		for k, id := range idle {
+			if r := cp.rowOf[id]; r != cur {
+				cur = r
+				cp.rowStart = append(cp.rowStart, int32(k))
 			}
-			cp.rowStart = append(cp.rowStart, int32(len(idle)))
-			k := cp.rng.Intn(len(cp.rows))
-			cands = idle[cp.rowStart[k]:cp.rowStart[k+1]]
-		} else {
-			// Rows that currently have idle sockets, binned into the
-			// reusable scratch (idle is sorted by ID, so each row's bin
-			// stays in ID order, matching the append order of the old
-			// map-based binning).
-			if len(cp.rowIdle) < srv.Rows {
-				cp.rowIdle = make([][]geometry.SocketID, srv.Rows)
-			}
-			// Clear the bins the previous Pick touched (keeps capacity).
-			for _, r := range cp.rows {
-				cp.rowIdle[r] = cp.rowIdle[r][:0]
-			}
-			cp.rows = cp.rows[:0]
-			for _, id := range idle {
-				row := int(cp.rowOf[id])
-				if len(cp.rowIdle[row]) == 0 {
-					cp.rows = append(cp.rows, row)
-				}
-				cp.rowIdle[row] = append(cp.rowIdle[row], id)
-			}
-			row := cp.rows[cp.rng.Intn(len(cp.rows))]
-			cands = cp.rowIdle[row]
 		}
+		k := cp.rng.Intn(len(cp.rowStart))
+		cp.rowStart = append(cp.rowStart, int32(len(idle)))
+		cands = idle[cp.rowStart[k]:cp.rowStart[k+1]]
 	}
 	// One candidate needs no scoring: score's only writes are pure
 	// value-keyed memo caches, so skipping it cannot change any later pick.
@@ -197,19 +142,20 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 	}
 
 	bm := &j.Benchmark
+	dm := bm.DynMax()
 	best := cands[0]
-	bestScore := cp.scoreCached(s, bm, best, util)
+	bestScore := cp.score(s, bm, dm, best, util)
 	for _, id := range cands[1:] {
-		if sc := cp.scoreCached(s, bm, id, util); sc > bestScore || (sc == bestScore && id < best) {
+		if sc := cp.score(s, bm, dm, id, util); sc > bestScore || (sc == bestScore && id < best) {
 			best, bestScore = id, sc
 		}
 	}
 	return best
 }
 
-// reset binds the memos to a new simulation's state. Its epochs restart
-// and its sockets may carry other sinks and leakage curves, so every memo
-// entry is forgotten; the per-server layout is rebuilt for a new server.
+// reset binds the leakage memo to a new simulation's state, whose sockets
+// may carry other leakage curves, so every entry is forgotten; the
+// per-server layout is rebuilt for a new server.
 func (cp *CouplingPredictor) reset(s State, v *StateVectors) {
 	srv := s.Server()
 	n := srv.NumSockets()
@@ -221,53 +167,13 @@ func (cp *CouplingPredictor) reset(s State, v *StateVectors) {
 		for i := 0; i < n; i++ {
 			cp.rowOf[i] = int32(srv.Socket(geometry.SocketID(i)).Row)
 		}
-		cp.rowsMono = true
-		for i := 1; i < n; i++ {
-			if cp.rowOf[i] < cp.rowOf[i-1] {
-				cp.rowsMono = false
-				break
-			}
-		}
-		cp.chanOf = make([]int32, n)
-		af := s.Airflow()
-		for ch := 0; ch < af.NumChannels(); ch++ {
-			for _, id := range af.Channel(ch) {
-				cp.chanOf[id] = int32(ch)
-			}
-		}
-		cp.scoreEpoch = make([]uint64, n)
-		cp.scoreDynMax = make([]units.Watts, n)
-		cp.scoreVal = make([]float64, n)
-		cp.rowIdle, cp.rows = nil, nil
 		cp.srv = srv
 	}
 	nan := math.NaN()
 	for i := 0; i < n; i++ {
 		cp.ownTempAmb[i] = units.Celsius(nan)
-		cp.scoreDynMax[i] = units.Watts(nan)
 	}
 	cp.vec = v
-}
-
-// scoreCached replays the whole-score memo when the candidate's channel
-// epoch and the job's DynMax both match (see the memo's field comment for
-// the exactness argument), and falls back to a fresh score otherwise. Under
-// the IdleWeighted ablation every call is fresh.
-func (cp *CouplingPredictor) scoreCached(s State, bm *workload.Benchmark, cand geometry.SocketID, util float64) float64 {
-	if cp.opts.IdleWeighted {
-		return cp.score(s, bm, bm.DynMax(), cand, util)
-	}
-	ci := int(cand)
-	e := cp.vec.Epoch[cp.chanOf[ci]]
-	dm := bm.DynMax()
-	if cp.scoreEpoch[ci] == e && cp.scoreDynMax[ci] == dm {
-		return cp.scoreVal[ci]
-	}
-	v := cp.score(s, bm, dm, cand, util)
-	cp.scoreEpoch[ci] = e
-	cp.scoreDynMax[ci] = dm
-	cp.scoreVal[ci] = v
-	return v
 }
 
 // score returns the candidate's net predicted frequency benefit in MHz.
@@ -283,7 +189,7 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 	ladder := cp.vec.Ladder
 
 	// Own predicted frequency at the candidate's current ambient (the
-	// simulation's memoized search), capped by the candidate's boost budget.
+	// simulation's ladder search), capped by the candidate's boost budget.
 	candAmb := cp.vec.Amb[cand]
 	candSink := srv.Sink(cand)
 	ci := int(cand)
@@ -340,21 +246,19 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 		} else {
 			continue
 		}
-		// The pre-rise prediction is candidate-independent, and for a busy
-		// socket it is the memo entry the power manager's last pick left
-		// (the raw index — the budget clamp below stays per-use).
+		// The pre-rise prediction is the raw index; the budget clamp below
+		// stays per-use.
 		amb := cp.vec.Amb[down]
 		bIdx := ladder.Index(down, dbm, dbm.DynMax(), amb)
 		before := LadderFreq(bIdx)
-		// The post-rise search starts at the pre-rise index on the memo's
-		// ladder row and is capped there: the predicate is monotone
-		// non-increasing in ambient (PredictTwoStep adds the ambient term and
-		// everything downstream of it — the leakage exponential, the second
-		// peak estimate — is non-decreasing in it, in float arithmetic too
-		// since each step is a composition of monotone operations), so an
-		// index inadmissible at amb stays inadmissible at the hotter
-		// amb+rise. Confirming bIdx costs one probe; rise only heats, so the
-		// answer is bIdx or below.
+		// The post-rise search scans the same row down from the pre-rise
+		// index: the predicate is monotone non-increasing in ambient
+		// (PredictTwoStep adds the ambient term and everything downstream of
+		// it — the leakage exponential, the second peak estimate — is
+		// non-decreasing in it, in float arithmetic too since each step is a
+		// composition of monotone operations), so an index inadmissible at
+		// amb stays inadmissible at the hotter amb+rise. Confirming bIdx
+		// costs one probe; rise only heats, so the answer is bIdx or below.
 		aIdx := ladder.IndexBelow(down, bIdx, amb+rise)
 		after := LadderFreq(aIdx)
 		if !cp.opts.IgnoreBudget {

@@ -10,34 +10,34 @@
 // reads the vectors directly: the socket temperature the
 // temperature-ordering policies rank by is one formula over them
 // (StateVectors.SocketTemp), and Predictive and CP read frequencies from
-// the simulation's one memoized ladder search (StateVectors.Ladder), the
-// same one its power manager picks through.
+// the simulation's one ladder search (StateVectors.Ladder), the same one
+// its power manager picks through.
 //
 // A pick scores every idle socket, many times per tick, while the inputs
-// of most scores have not moved. So no policy recomputes a score whose
-// inputs are unchanged, by one of two exact keys:
+// of most scores have not moved. So the costly parts of a score are
+// answered without recomputation, exactly:
 //
-//   - Value keys: the ladder search replays a frequency when the socket's
-//     ambient and the job's power curve are bit-equal to a past search.
-//     Predictive (per-curve entries, LadderCurve) and CP read it.
-//   - Lane epochs (StateVectors.Epoch): CP replays a candidate's whole
-//     score while its channel's epoch and the job's DynMax hold; CN
-//     re-reads a channel's socket temperatures only when its epoch moved,
-//     and rescores only the sockets next to a temperature that changed;
-//     Balanced keeps each channel's hottest socket until the channel
-//     moves. An unchanged epoch proves every input the channel contributes
-//     bit-identical, so the replayed value is the one a fresh evaluation
-//     would produce; epochs are only ever compared for equality, never
-//     ordered. Each of these policies binds its memo to the StateVectors it
-//     was filled from and empties it when handed another simulation's,
-//     whose epochs restart.
+//   - Frequencies come from the ladder search's admissibility rows, seeded
+//     once per power curve and (sink, leakage) class, which decide nearly
+//     every probe with two compares and return exactly what a fresh
+//     prediction would. Predictive and CP read it.
+//   - Lane epochs (StateVectors.Epoch): CN re-reads a channel's socket
+//     temperatures only when its epoch moved, and rescores only the
+//     sockets next to a temperature that changed; Balanced keeps each
+//     channel's hottest socket until the channel moves. An unchanged epoch
+//     proves every input the channel contributes bit-identical, so the
+//     replayed value is the one a fresh evaluation would produce; epochs
+//     are only ever compared for equality, never ordered. Each of these
+//     policies binds its memo to the StateVectors it was filled from and
+//     empties it when handed another simulation's, whose epochs restart.
 //
 // Predictive also skips the estimate of every socket whose score cannot
 // beat the best so far (see Predictive.Pick). CF, HF, MinHR, Balanced-L
 // and A-Random score a socket with a handful of loads, cheaper than any
-// memo lookup, and Random scores nothing. Picks are bit-identical to the
-// unmemoized policies, ties going to the lowest socket ID. Schedulers must
-// be deterministic given their construction-time seed.
+// memo lookup, and Random scores nothing; CP reads the ladder search and
+// its own leakage memo. Picks are bit-identical to the unmemoized
+// policies, ties going to the lowest socket ID. Schedulers must be
+// deterministic given their construction-time seed.
 package sched
 
 import (
@@ -71,8 +71,9 @@ type State interface {
 // StateVectors is the live per-socket state, indexed by socket ID (Epoch by
 // airflow channel). The slices alias the simulator's storage: they are valid
 // for the duration of one Pick and must never be written by schedulers.
-// Ladder is the one exception: schedulers may fill its memo through its
-// Index and Curve methods and LadderCurve.Index, and may write nothing else.
+// Ladder is the one exception: schedulers may seed its rows and record a
+// socket's last curve through its Index and Curve methods, and may write
+// nothing else.
 //
 //   - Amb[i] is the socket's current entry air temperature.
 //   - Pewma[i] is the socket's 30-second power average, the heatsink-mass
@@ -98,18 +99,16 @@ type State interface {
 //     placement/completion/migration, a fault application, a state restore)
 //     advances it first. Schedulers use it to memoize per-socket
 //     predictions and replay them on an unchanged epoch: exact by replay,
-//     since an unchanged epoch proves every input bit-identical. CP keys a
-//     candidate's whole score on its channel's epoch; CN re-reads, on each
-//     pick, the socket temperatures of the channels whose epoch moved since
-//     the last pick; Balanced rescans only those channels for the hottest
-//     socket. Only equality is ever tested, and only within one
-//     simulation: a new simulation's epochs restart at zero, so a memo is
-//     bound to the StateVectors it was filled from.
-//   - Ladder is the simulation's one frequency search (see LadderSearch),
-//     value-keyed and so never invalidated. The power manager picks through
-//     it too, so a scheduler's prediction for a busy socket is usually the
-//     memo entry the socket's last pick left, and an idle socket keeps one
-//     entry per power curve it was priced for.
+//     since an unchanged epoch proves every input bit-identical. CN
+//     re-reads, on each pick, the socket temperatures of the channels whose
+//     epoch moved since the last pick; Balanced rescans only those channels
+//     for the hottest socket. Only equality is ever tested, and only within
+//     one simulation: a new simulation's epochs restart at zero, so a memo
+//     is bound to the StateVectors it was filled from.
+//   - Ladder is the simulation's one frequency search (see LadderSearch):
+//     one read-only admissibility row per power curve and (sink, leakage)
+//     class, exact at any ambient and so never invalidated. The power
+//     manager picks through it too.
 type StateVectors struct {
 	Amb    []units.Celsius
 	Pewma  []units.Watts

@@ -480,7 +480,7 @@ func TestEpochMemosBindToTheirState(t *testing.T) {
 		}
 	}
 	j := compJob()
-	for _, name := range []string{"CN", "Balanced", "CP-global"} {
+	for _, name := range []string{"CN", "Balanced"} {
 		mk := func() Scheduler {
 			s, err := ByName(name, 5)
 			if err != nil {

@@ -165,7 +165,7 @@ func TestBaselineScoreCacheMatchesReference(t *testing.T) {
 		}
 		return srv
 	}
-	cases := []memoCase{memoCases[0], memoCases[1], {"dd360", dd360, true}}
+	cases := []memoCase{memoCases[0], memoCases[1], {"dd360", dd360, 2}}
 	for _, c := range cases {
 		for _, name := range []string{"CN", "Balanced", "Predictive", "A-Random"} {
 			for _, load := range []float64{0.3, 0.7, 0.9} {

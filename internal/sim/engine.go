@@ -35,11 +35,12 @@ package sim
 //     so only the idle-energy accrual is replayed and the sweep is skipped.
 //
 //     Its power manager picks through the run's one ladder search
-//     (StateVectors.Ladder, the memo Predictive and CP fill too) and clamps
-//     the uncapped index to the boost cap. The memo is keyed by value —
-//     ambient bits and the benchmark's DynMax bits — so it is exact whatever
-//     its history: no completion, migration, fault or restore invalidates
-//     it, and a recycled job allocation cannot alias a stale entry.
+//     (StateVectors.Ladder, which Predictive and CP read too) and clamps
+//     the uncapped index to the boost cap. The search's rows, one per
+//     benchmark DynMax and (sink, leakage) class, return exactly what a
+//     fresh prediction would at any ambient, so it is exact whatever its
+//     history: no completion, migration, fault or restore invalidates it,
+//     and a recycled job allocation cannot alias a stale row.
 //
 // The event engine arms tick skipping (the settled skip and both licences)
 // unless a Probe or the invariant harness observes every tick, so a run
@@ -92,8 +93,8 @@ func (e EngineConfig) Validate() error {
 
 // engineState is the resolved engine for one run.
 type engineState struct {
-	// incremental selects the dirty-lane sweep and the memoized frequency
-	// pick; false is the pristine serial path.
+	// incremental selects the dirty-lane sweep and the ladder-search
+	// frequency pick; false is the pristine serial path.
 	incremental bool
 	// skipTicks arms tick skipping: the event engine with no Probe or
 	// Checks observing individual ticks. It licenses the gap advance over a

@@ -35,8 +35,8 @@ func chaosSpec() *fault.Spec {
 
 // faultedServer returns a fresh SUT with two cartridge-grained SKU
 // overrides, so the matrix exercises the heterogeneous paths (per-socket
-// leakage/idle power, capped ladder, disabled shared pools) at the same
-// time as the fault machinery.
+// leakage/idle power, capped ladder, several admissibility classes) at the
+// same time as the fault machinery.
 func faultedServer() *geometry.Server {
 	srv := geometry.SUT()
 	low := chipmodel.SKU{TDP: 18, FMax: 1500}

@@ -93,7 +93,7 @@ func TestPredictiveMemoMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSharedPool(t, s, c)
+			checkClasses(t, s, c)
 			s.Run()
 			if o.throttled < 100 {
 				t.Errorf("%s load %.1f: only %d of %d picks saw a throttled estimate", c.name, load, o.throttled, o.picks)
@@ -120,22 +120,23 @@ func TestPredictiveMemoMatchesReference(t *testing.T) {
 	}
 }
 
-// memoCase is one server of the ladder-search differential tests: shared
-// says whether every socket carries the same leakage curve, which is what
-// enables the admissibility cache's shared bounds pool.
+// memoCase is one server of the ladder-search differential tests: classes
+// is the number of distinct (sink, leakage) pairs among its sockets, each of
+// which gets its own admissibility row per power curve.
 type memoCase struct {
-	name   string
-	build  func() *geometry.Server
-	shared bool
+	name    string
+	build   func() *geometry.Server
+	classes int
 }
 
-// The mixed-SKU SUT carries three leakage curves (no shared bounds pool);
-// the FMax-only one keeps the platform TDP everywhere, so the pool is on
-// while neighbouring caps differ.
+// The SUT's two sinks share one leakage curve; the mixed-SKU SUT carries
+// three leakage curves on both sinks; the FMax-only one keeps the platform
+// TDP everywhere, so it has the SUT's two classes while neighbouring caps
+// differ.
 var memoCases = []memoCase{
-	{"sut", geometry.SUT, true},
-	{"mixed-sku", skuServer(chipmodel.SKU{TDP: 18, FMax: 1500}, chipmodel.SKU{TDP: 30, FMax: 1700}, chipmodel.SKU{}), false},
-	{"fmax-sku", skuServer(chipmodel.SKU{FMax: 1500}, chipmodel.SKU{FMax: 1700}, chipmodel.SKU{}), true},
+	{"sut", geometry.SUT, 2},
+	{"mixed-sku", skuServer(chipmodel.SKU{TDP: 18, FMax: 1500}, chipmodel.SKU{TDP: 30, FMax: 1700}, chipmodel.SKU{}), 6},
+	{"fmax-sku", skuServer(chipmodel.SKU{FMax: 1500}, chipmodel.SKU{FMax: 1700}, chipmodel.SKU{}), 2},
 }
 
 // allBenchmarksMix draws from all three benchmark sets at once, so that jobs
@@ -172,17 +173,21 @@ func hotAisleConfig(t *testing.T, c memoCase, sch sched.Scheduler, load float64)
 	}
 }
 
-// checkSharedPool asserts that the case's leakage curves are as its name
-// says, so the cases cover the ladder search with and without the shared
-// bounds pool.
-func checkSharedPool(t *testing.T, s *Simulator, c memoCase) {
+// checkClasses asserts that the case's sockets carry as many distinct
+// (sink, leakage) pairs as the case says, so the cases cover ladder searches
+// with one admissibility row per curve for each sink and with several.
+func checkClasses(t *testing.T, s *Simulator, c memoCase) {
 	t.Helper()
-	shared := true
-	for _, l := range s.leakAt {
-		shared = shared && l == s.leakAt[0]
+	type class struct {
+		sink chipmodel.Sink
+		leak chipmodel.Leakage
 	}
-	if shared != c.shared {
-		t.Fatalf("%s: every socket on one leakage curve = %v, want %v", c.name, shared, c.shared)
+	classes := map[class]bool{}
+	for i, l := range s.leakAt {
+		classes[class{s.srv.Sink(geometry.SocketID(i)), l}] = true
+	}
+	if len(classes) != c.classes {
+		t.Fatalf("%s: %d (sink, leakage) classes, want %d", c.name, len(classes), c.classes)
 	}
 }
 
@@ -226,11 +231,11 @@ func (o *cpOracle) Pick(s sched.State, j *job.Job, idle []geometry.SocketID) geo
 // event engine, that each busy socket runs at exactly the frequency the
 // serial engine's reference search (pickFrequencyIndexed) picks: the run's
 // ladder search clamped to the boost cap. It covers CP and Predictive — the
-// schedulers that fill the same memo — at 30%, 70% and 90% load on the SUT,
-// on a mixed-SKU SUT whose TDPs differ (no shared bounds pool) and on one
-// whose SKUs differ only in FMax. A short boost window lets the utilization
-// tiers bind within the run, so the cap clamp decides picks, not only the
-// thermal limit.
+// schedulers that read the same search — at 30%, 70% and 90% load on the
+// SUT, on a mixed-SKU SUT whose TDPs differ (six admissibility classes) and
+// on one whose SKUs differ only in FMax. A short boost window lets the
+// utilization tiers bind within the run, so the cap clamp decides picks,
+// not only the thermal limit.
 func TestPowerManagerPickMatchesReference(t *testing.T) {
 	for _, c := range memoCases {
 		for _, name := range []string{"Predictive", "CP"} {
@@ -270,7 +275,7 @@ func TestPowerManagerPickMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSharedPool(t, s, c)
+				checkClasses(t, s, c)
 				if !s.eng.incremental {
 					t.Fatal("the default engine is not the event engine")
 				}

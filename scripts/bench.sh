@@ -27,13 +27,15 @@
 #       measurable; the 10% band only absorbs the shared runner's noise.
 #       Catches engine regressions that the bit-equivalence tests cannot
 #       (they check answers, not wall clock). It then runs the SUT at 50%
-#       load under Predictive, CN and CF the same alternating way
+#       load under Predictive, CN, CP and CF the same alternating way
 #       (-benchtime 2x, five rounds) and fails if Predictive's or CN's
-#       median exceeds 2.0x CF's. Predictive's per-curve ladder entries and
-#       CN's neighbourhood score memo keep both at 1.1-1.5x CF on a 2-vCPU
-#       Xeon, against 2.1x and 2.2x for the per-socket ladder entry and the
-#       unmemoized CN score. A memo that stops engaging still picks the
-#       same sockets, so only wall clock shows it. Last it runs the idle SUT
+#       median exceeds 2.0x CF's, or CP's 2.5x CF's. The ladder search's
+#       seeded admissibility rows, which decide nearly every frequency
+#       probe without a PredictTwoStep, keep Predictive at about 1.0x CF
+#       and CP at 1.6-1.8x CF on a 2-vCPU Xeon, and CN's neighbourhood
+#       score memo keeps CN at 1.1-1.5x CF against 2.2x for the unmemoized
+#       score. A row or memo that stops engaging still picks the same
+#       sockets, so only wall clock shows it. Last it runs the idle SUT
 #       second the same two ways (-benchtime 20x) and fails if the default
 #       engine's median exceeds 0.25x serial's: that run is one dead tail,
 #       which the gap advance's dead-tail licence skips at about 0.05x
@@ -139,19 +141,25 @@ $(simbench "^$b\$" "$benchtime")"
 		echo "bench smoke: event engine >10% slower than serial" >&2
 		exit 1
 	fi
-	out="$(alternate 2x BenchmarkSimSecondPredictive50 BenchmarkSimSecondCN50 BenchmarkSimSecondCF50)"
+	out="$(alternate 2x BenchmarkSimSecondPredictive50 BenchmarkSimSecondCN50 BenchmarkSimSecondCP50 BenchmarkSimSecondCF50)"
 	echo "$out"
 	cf="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondCF50" {print $2}')"
 	pred="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondPredictive50" {print $2}')"
 	cn="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondCN50" {print $2}')"
-	if [ -z "$cf" ] || [ -z "$pred" ] || [ -z "$cn" ]; then
-		echo "bench smoke: missing CF/Predictive/CN medians" >&2
+	cp="$(echo "$out" | medians | awk '$1 == "BenchmarkSimSecondCP50" {print $2}')"
+	if [ -z "$cf" ] || [ -z "$pred" ] || [ -z "$cn" ] || [ -z "$cp" ]; then
+		echo "bench smoke: missing CF/Predictive/CN/CP medians" >&2
 		exit 1
 	fi
-	echo "CF50 median ${cf} ns/op, Predictive50 median ${pred} ns/op, CN50 median ${cn} ns/op (5 alternating rounds)"
+	echo "CF50 median ${cf} ns/op, Predictive50 median ${pred} ns/op, CN50 median ${cn} ns/op, CP50 median ${cp} ns/op (5 alternating rounds)"
 	# Fail when Predictive > 2.0 x CF (integer math: 10*p > 20*c).
 	if [ $((10 * pred)) -gt $((20 * cf)) ]; then
-		echo "bench smoke: Predictive50 >2.0x CF50: the per-curve ladder entries did not engage" >&2
+		echo "bench smoke: Predictive50 >2.0x CF50: the ladder search's admissibility rows did not engage" >&2
+		exit 1
+	fi
+	# Fail when CP > 2.5 x CF (integer math: 10*p > 25*c).
+	if [ $((10 * cp)) -gt $((25 * cf)) ]; then
+		echo "bench smoke: CP50 >2.5x CF50: the ladder search's admissibility rows did not engage" >&2
 		exit 1
 	fi
 	# Fail when CN > 2.0 x CF (integer math: 10*n > 20*c).
