@@ -22,14 +22,13 @@ import (
 // P-state's boundary once by bisection, and a probe is then decided by the
 // bisection's bounds:
 //
-//   - Replay: the predicate is a pure function, so an ambient bit-equal to
-//     a bound returns the verdict the bisection evaluated there.
 //   - Guard band: floating-point evaluation tracks the real function to
 //     well under 1e-9 C here, so a bound's verdict is reused across the
 //     inequality only when the ambient clears it by admissMargin — six
 //     orders of magnitude wider than the worst rounding jitter.
 //   - Inside the ~2e-6 C band around the boundary the probe runs a fresh
-//     PredictTwoStep.
+//     PredictTwoStep (on a bound itself too: the predicate is a pure
+//     function, so it returns the verdict the bisection evaluated there).
 //
 // Every verdict is therefore exactly what a fresh comparison returns, which
 // is what lets the bit-exactness oracles (golden digests, the engine
@@ -41,12 +40,13 @@ type AdmissRow struct {
 	steps []admissStep
 }
 
-// admissStep is one P-state of a row: its dynamic power, the highest
-// ambient the bisection proved admissible (admLE, -Inf for none) and the
-// lowest it proved inadmissible (inadGE, +Inf for none).
+// admissStep is one P-state of a row: its dynamic power and the limits
+// beyond which Admit trusts the bisection's bounds, lo below the highest
+// ambient the bisection proved admissible (-Inf for none) and hi above the
+// lowest it proved inadmissible (+Inf for none), each by admissMargin.
 type admissStep struct {
-	dynW          units.Watts
-	admLE, inadGE units.Celsius
+	dynW   units.Watts
+	lo, hi units.Celsius
 }
 
 // admissMargin is the guard band for reusing a bound's verdict at another
@@ -63,13 +63,15 @@ func NewAdmissRow(dyn DynamicPowerFn, sink Sink, leak Leakage) AdmissRow {
 	for k := range r.steps {
 		s := &r.steps[k]
 		s.dynW = dyn(Frequencies[k])
-		s.admLE, s.inadGE = r.bisect(s.dynW)
+		admLE, inadGE := r.bisect(s.dynW)
+		s.lo, s.hi = admLE-admissMargin, inadGE+admissMargin
 	}
 	return r
 }
 
-// bisect locates the admissibility boundary of dynW. Each step is an
-// ordinary fresh evaluation at a concrete ambient, so both bounds are
+// bisect locates the admissibility boundary of dynW: the highest ambient
+// it proves admissible and the lowest it proves inadmissible. Each step is
+// an ordinary fresh evaluation at a concrete ambient, so both bounds are
 // proven verdicts. The ambient domain has generous slack: real runs live
 // in roughly [inlet, TempLimit]; outside [-200, 400] the verdicts are
 // constant and the one-sided bound still decides every in-range probe.
@@ -101,16 +103,19 @@ func (r *AdmissRow) bisect(dynW units.Watts) (admLE, inadGE units.Celsius) {
 
 // Admit reports whether P-state k is admissible at ambient amb: decided by
 // the seeded bounds outside the guard band, by a fresh PredictTwoStep in
-// it.
+// it. It inlines (go build -gcflags=-m), so a probe the bounds decide costs
+// its caller no call.
 func (r *AdmissRow) Admit(k int, amb units.Celsius) bool {
-	s := &r.steps[k]
-	if amb == s.admLE || amb <= s.admLE-admissMargin {
-		return true
-	}
-	if amb == s.inadGE || amb >= s.inadGE+admissMargin {
-		return false
-	}
-	return PredictTwoStep(amb, s.dynW, r.sink, r.leak) <= TempLimit
+	s := r.steps[k]
+	return amb <= s.lo || amb < s.hi && r.fresh(k, amb)
+}
+
+// fresh evaluates the predicate for P-state k at ambient amb. It is kept
+// out of line: inlined, it would push Admit over the inlining budget.
+//
+//go:noinline
+func (r *AdmissRow) fresh(k int, amb units.Celsius) bool {
+	return PredictTwoStep(amb, r.steps[k].dynW, r.sink, r.leak) <= TempLimit
 }
 
 // Index returns the highest P-state index at or below top that is

@@ -99,14 +99,19 @@ func NewLeakage(tdp units.Watts) Leakage {
 	return Leakage{TDP: tdp, Alpha: math.Ln2 / 25, Cap: 2}
 }
 
-// At returns leakage power at chip temperature t.
+// At returns leakage power at chip temperature t, clamped at Max.
 func (l Leakage) At(t units.Celsius) units.Watts {
-	ref := LeakageFracAtRef * float64(l.TDP)
-	w := ref * math.Exp(l.Alpha*float64(t-LeakageRefTemp))
-	if max := ref * l.Cap; w > max {
+	w := LeakageFracAtRef * float64(l.TDP) * math.Exp(l.Alpha*float64(t-LeakageRefTemp))
+	if max := float64(l.Max()); w > max {
 		w = max
 	}
 	return units.Watts(w)
+}
+
+// Max returns the clamp of At, Cap times the reference leakage: no chip
+// temperature draws more, so it bounds the leakage of any prediction.
+func (l Leakage) Max() units.Watts {
+	return units.Watts(LeakageFracAtRef * float64(l.TDP) * l.Cap)
 }
 
 // SolvePeak finds the self-consistent (peak temperature, total power) pair

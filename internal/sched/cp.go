@@ -43,8 +43,9 @@ type CouplingPredictor struct {
 	// rowOf[id] is the socket's cartridge row. geometry.New numbers sockets
 	// row-major, so rowOf never decreases in socket ID and each row's idle
 	// sockets form one contiguous run of the sorted idle slice. rowStart is
-	// per-Pick scratch: rowStart[k] is the index in idle where the k-th row
-	// with idle sockets begins, with a final sentinel at len(idle).
+	// per-Pick scratch of Rows+1 entries: rowStart[k] is the index in idle
+	// where the k-th row with idle sockets begins, with a final sentinel at
+	// len(idle).
 	rowOf    []int32
 	rowStart []int32
 	// ownTemp* replay the leakage drawn at the candidate's predicted chip
@@ -108,24 +109,25 @@ func (cp *CouplingPredictor) Name() string {
 
 // Pick implements Scheduler.
 func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
-	srv := s.Server()
-	if v := s.Vectors(); v != cp.vec {
-		cp.reset(s, v)
-	}
+	cp.bind(s)
 
 	cands := idle
 	if !cp.opts.GlobalSearch {
-		cp.rowStart = cp.rowStart[:0]
+		// Every step writes its index to rs[n] and a row change advances
+		// n, so rs[:n] ends up holding each row's first index: no append
+		// and no branch on the row test.
+		rs := cp.rowStart
+		n := 0
 		cur := int32(-1)
 		for k, id := range idle {
-			if r := cp.rowOf[id]; r != cur {
-				cur = r
-				cp.rowStart = append(cp.rowStart, int32(k))
-			}
+			r := cp.rowOf[id]
+			rs[n] = int32(k)
+			n += b2i(r != cur)
+			cur = r
 		}
-		k := cp.rng.Intn(len(cp.rowStart))
-		cp.rowStart = append(cp.rowStart, int32(len(idle)))
-		cands = idle[cp.rowStart[k]:cp.rowStart[k+1]]
+		k := cp.rng.Intn(n)
+		rs[n] = int32(len(idle))
+		cands = idle[rs[k]:rs[k+1]]
 	}
 	// One candidate needs no scoring: score's only writes are pure
 	// value-keyed memo caches, so skipping it cannot change any later pick.
@@ -133,14 +135,7 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 		return cands[0]
 	}
 
-	// System utilization estimate: the weight given to downwind sockets
-	// that are idle right now but will soon carry work (zero unless the
-	// IdleWeighted ablation variant is selected).
-	util := 0.0
-	if cp.opts.IdleWeighted {
-		util = 1 - float64(len(idle))/float64(srv.NumSockets())
-	}
-
+	util := cp.util(s, len(idle))
 	bm := &j.Benchmark
 	dm := bm.DynMax()
 	best := cands[0]
@@ -151,6 +146,34 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 		}
 	}
 	return best
+}
+
+// Score returns the score Pick ranks candidate cand by when it places j
+// with nIdle sockets idle: the net predicted frequency benefit in MHz, the
+// candidate's own predicted frequency minus the frequency its heat takes
+// from downwind sockets. It writes only the memos Pick writes, so calling
+// it between picks changes no pick.
+func (cp *CouplingPredictor) Score(s State, j *job.Job, cand geometry.SocketID, nIdle int) float64 {
+	cp.bind(s)
+	bm := &j.Benchmark
+	return cp.score(s, bm, bm.DynMax(), cand, cp.util(s, nIdle))
+}
+
+// util is the system utilization estimate with nIdle sockets idle: the
+// weight given to downwind sockets that are idle right now but will soon
+// carry work (zero unless the IdleWeighted ablation variant is selected).
+func (cp *CouplingPredictor) util(s State, nIdle int) float64 {
+	if !cp.opts.IdleWeighted {
+		return 0
+	}
+	return 1 - float64(nIdle)/float64(s.Server().NumSockets())
+}
+
+// bind binds the memos to s's state vectors (see reset).
+func (cp *CouplingPredictor) bind(s State) {
+	if v := s.Vectors(); v != cp.vec {
+		cp.reset(s, v)
+	}
 }
 
 // reset binds the leakage memo to a new simulation's state, whose sockets
@@ -167,6 +190,7 @@ func (cp *CouplingPredictor) reset(s State, v *StateVectors) {
 		for i := 0; i < n; i++ {
 			cp.rowOf[i] = int32(srv.Socket(geometry.SocketID(i)).Row)
 		}
+		cp.rowStart = make([]int32, srv.Rows+1)
 		cp.srv = srv
 	}
 	nan := math.NaN()
@@ -178,21 +202,39 @@ func (cp *CouplingPredictor) reset(s State, v *StateVectors) {
 
 // score returns the candidate's net predicted frequency benefit in MHz.
 // util weights the losses predicted for currently-idle downwind sockets.
-// bm is the job's benchmark and dm its DynMax; its dynamic-power curve is
-// wrapped in a func literal here rather than via Benchmark.DynamicPower,
-// whose returned method value heap-allocates on every call.
+// bm is the job's benchmark and dm its DynMax.
+//
+// The heat the candidate would inject, added, needs its own leakage at its
+// predicted chip temperature: a two-step prediction and two math.Exp. Most
+// downwind sockets sit far enough from a P-state boundary that no heat the
+// candidate could inject moves them, so each is first checked at the upper
+// bound addedHi, which takes the leakage at its clamp, leak.Max(). The
+// bound decides the loss exactly:
+//
+//   - Leakage.At clamps at Max, so ownLeak <= leak.Max() and, as the two
+//     share every other term, added <= addedHi before added's clamp at 0.
+//   - Float +, - and multiplication by C > 0 each round monotonically, so
+//     amb + C*added <= amb + C*addedHi.
+//   - Admissibility is monotone in ambient — the assumption IndexBelow
+//     already rests on — so if the pre-rise index bIdx is still admissible
+//     at amb + C*addedHi, it is at amb + C*added: the socket loses nothing.
+//   - A downwind socket with C <= 0 loses nothing either way: added >= 0,
+//     so the exact rise is at most 0 and the post-rise search returns
+//     bIdx. Nor does one with bIdx < 0, which has no index to lose. Whether
+//     the bound skips such a socket or probes it, its loss is zero.
+//
+// Only when the bound leaves bIdx inadmissible is the exact added computed,
+// once per call, and the post-rise index searched at amb + C*added; the
+// sockets after it skip the bound and are searched at their exact rise
+// directly. Either way the score is bit-identical to computing added up
+// front.
 func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Watts, cand geometry.SocketID, util float64) float64 {
-	srv := s.Server()
-	af := s.Airflow()
 	leak := cp.vec.Leak[cand]
-	dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
 	ladder := cp.vec.Ladder
 
 	// Own predicted frequency at the candidate's current ambient (the
 	// simulation's ladder search), capped by the candidate's boost budget.
 	candAmb := cp.vec.Amb[cand]
-	candSink := srv.Sink(cand)
-	ci := int(cand)
 	ownFreq := LadderFreq(ladder.Index(cand, bm, dm, candAmb))
 	if !cp.opts.IgnoreBudget && ownFreq > cp.vec.Cap[cand] {
 		ownFreq = cp.vec.Cap[cand]
@@ -203,26 +245,13 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 
 	// The heat the candidate would inject into the airstream: its dynamic
 	// power at the predicted frequency plus the leakage at the predicted
-	// temperature, minus the gated power it injects today while idle. The
-	// prediction replays from the per-socket memo when (ambient, dynamic
-	// power) are bit-unchanged — across candidates of one tick, and across
-	// ticks once the lane has settled.
-	ownDyn := dyn(ownFreq)
-	var ownLeak units.Watts
-	if cp.ownTempAmb[ci] == candAmb && cp.ownTempDynW[ci] == ownDyn {
-		ownLeak = cp.ownTempLeakW[ci]
-	} else {
-		ownTemp := chipmodel.PredictTwoStep(candAmb, ownDyn, candSink, leak)
-		ownLeak = leak.At(ownTemp)
-		cp.ownTempAmb[ci] = candAmb
-		cp.ownTempDynW[ci] = ownDyn
-		cp.ownTempLeakW[ci] = ownLeak
-	}
-	added := float64(ownDyn) + float64(ownLeak) -
+	// temperature, minus the gated power it injects today while idle.
+	// addedHi bounds it with the leakage clamp in place of the leakage.
+	ownDyn := bm.DynamicPowerAt(ownFreq)
+	addedHi := float64(ownDyn) + float64(leak.Max()) -
 		chipmodel.GatedPowerFrac*float64(leak.TDP)
-	if added < 0 {
-		added = 0
-	}
+	var added float64
+	exact := false
 
 	// Downwind impact: predicted frequency loss of each downstream socket,
 	// from the precomputed downwind coupling view. Sockets running a job are
@@ -230,10 +259,10 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 	// weight (they will soon carry jobs like the one being placed); dead
 	// sockets, Busy with no job, never count.
 	var lossMHz float64
-	for _, dw := range af.Downwind(cand) {
+	for _, dw := range s.Airflow().Downwind(cand) {
 		down := dw.Down
-		rise := units.Celsius(dw.C * added)
-		if rise <= 0 {
+		riseHi := units.Celsius(dw.C * addedHi)
+		if riseHi <= 0 {
 			continue
 		}
 		var weight float64
@@ -250,7 +279,6 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 		// stays per-use.
 		amb := cp.vec.Amb[down]
 		bIdx := ladder.Index(down, dbm, dbm.DynMax(), amb)
-		before := LadderFreq(bIdx)
 		// The post-rise search scans the same row down from the pre-rise
 		// index: the predicate is monotone non-increasing in ambient
 		// (PredictTwoStep adds the ambient term and everything downstream of
@@ -259,8 +287,37 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 		// composition of monotone operations), so an index inadmissible at
 		// amb stays inadmissible at the hotter amb+rise. Confirming bIdx
 		// costs one probe; rise only heats, so the answer is bIdx or below.
-		aIdx := ladder.IndexBelow(down, bIdx, amb+rise)
-		after := LadderFreq(aIdx)
+		// Until the exact heat is known, the search runs first at the
+		// bound's rise, where keeping bIdx proves the loss zero, and at the
+		// exact rise only otherwise.
+		if !exact {
+			if ladder.IndexBelow(down, bIdx, amb+riseHi) == bIdx {
+				continue
+			}
+			// The prediction replays from the per-socket memo when
+			// (ambient, dynamic power) are bit-unchanged — across
+			// candidates of one tick, and across ticks once the lane has
+			// settled.
+			ci := int(cand)
+			var ownLeak units.Watts
+			if cp.ownTempAmb[ci] == candAmb && cp.ownTempDynW[ci] == ownDyn {
+				ownLeak = cp.ownTempLeakW[ci]
+			} else {
+				ownTemp := chipmodel.PredictTwoStep(candAmb, ownDyn, s.Server().Sink(cand), leak)
+				ownLeak = leak.At(ownTemp)
+				cp.ownTempAmb[ci] = candAmb
+				cp.ownTempDynW[ci] = ownDyn
+				cp.ownTempLeakW[ci] = ownLeak
+			}
+			added = float64(ownDyn) + float64(ownLeak) -
+				chipmodel.GatedPowerFrac*float64(leak.TDP)
+			if added < 0 {
+				added = 0
+			}
+			exact = true
+		}
+		aIdx := ladder.IndexBelow(down, bIdx, amb+units.Celsius(dw.C*added))
+		before, after := LadderFreq(bIdx), LadderFreq(aIdx)
 		if !cp.opts.IgnoreBudget {
 			// Losses above the downwind socket's budget cap do not count:
 			// it could not have run there anyway.
@@ -274,4 +331,14 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 		lossMHz += weight * float64(before-after)
 	}
 	return float64(ownFreq) - lossMHz
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag set,
+// not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }

@@ -32,7 +32,8 @@
 #       median exceeds 2.0x CF's, or CP's 2.5x CF's. The ladder search's
 #       seeded admissibility rows, which decide nearly every frequency
 #       probe without a PredictTwoStep, keep Predictive at about 1.0x CF
-#       and CP at 1.6-1.8x CF on a 2-vCPU Xeon, and CN's neighbourhood
+#       and, with CP's leakage-cap bound, CP at 1.1-1.4x CF on a 2-vCPU
+#       Xeon (1.8-2.1x without the bound), and CN's neighbourhood
 #       score memo keeps CN at 1.1-1.5x CF against 2.2x for the unmemoized
 #       score. A row or memo that stops engaging still picks the same
 #       sockets, so only wall clock shows it. Last it runs the idle SUT
