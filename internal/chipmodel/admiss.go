@@ -8,10 +8,10 @@ import (
 
 // AdmissRow answers the P-state admissibility predicate
 //
-//	PredictTwoStep(ambient, dyn(Frequencies[k]), sink, leak) <= TempLimit
+//	PredictTwoStep(ambient, dyn[k], sink, leak) <= TempLimit
 //
-// for one power curve dyn under one (sink, leakage) pair, at any ambient
-// and ladder index k. The predicate is the simulator's hottest math.Exp
+// for one power curve dyn, the dynamic power at each P-state, under one
+// (sink, leakage) pair, at any ambient and ladder index k. The predicate is the simulator's hottest math.Exp
 // call site — the power manager's pick and Predictive's and CP's frequency
 // predictions all probe it — yet its boundary is fixed once the curve, the
 // sink and the leakage are: in real arithmetic the predicted temperature is
@@ -58,11 +58,11 @@ const admissMargin units.Celsius = 1e-6
 // NewAdmissRow seeds the row of power curve dyn under sink and leak: about
 // fifty PredictTwoStep evaluations per P-state, after which nearly every
 // probe is decided without one.
-func NewAdmissRow(dyn DynamicPowerFn, sink Sink, leak Leakage) AdmissRow {
+func NewAdmissRow(dyn []units.Watts, sink Sink, leak Leakage) AdmissRow {
 	r := AdmissRow{sink: sink, leak: leak, steps: make([]admissStep, len(Frequencies))}
 	for k := range r.steps {
 		s := &r.steps[k]
-		s.dynW = dyn(Frequencies[k])
+		s.dynW = dyn[k]
 		admLE, inadGE := r.bisect(s.dynW)
 		s.lo, s.hi = admLE-admissMargin, inadGE+admissMargin
 	}

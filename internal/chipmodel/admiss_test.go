@@ -28,7 +28,11 @@ func TestAdmissRowMatchesPredicate(t *testing.T) {
 	for _, b := range benches {
 		leak := chipmodel.NewLeakage(b.TDPW())
 		for _, sink := range sinks {
-			row := chipmodel.NewAdmissRow(b.DynamicPowerAt, sink, leak)
+			dyn := make([]units.Watts, len(chipmodel.Frequencies))
+			for k, f := range chipmodel.Frequencies {
+				dyn[k] = b.DynamicPowerAt(f)
+			}
+			row := chipmodel.NewAdmissRow(dyn, sink, leak)
 			admit := func(k int, amb units.Celsius) bool {
 				return chipmodel.PredictTwoStep(amb, b.DynamicPowerAt(chipmodel.Frequencies[k]), sink, leak) <= chipmodel.TempLimit
 			}

@@ -36,20 +36,6 @@ func FreqIndex(f units.MHz) (int, error) {
 	return 0, fmt.Errorf("chipmodel: %v is not a P-state", f)
 }
 
-// StepDown returns the next lower P-state, clamping at FMin.
-func StepDown(f units.MHz) units.MHz {
-	for i := len(Frequencies) - 1; i > 0; i-- {
-		if Frequencies[i] == f {
-			return Frequencies[i-1]
-		}
-	}
-	return FMin
-}
-
-// DynamicPowerFn maps a P-state to the dynamic power a particular job draws
-// at that frequency. The workload package supplies these curves.
-type DynamicPowerFn func(f units.MHz) units.Watts
-
 // CapIndex returns the index of the highest P-state at or below cap, or -1
 // if even FMin exceeds cap. The ladder has five entries, so a descending
 // scan is already optimal.
@@ -103,10 +89,10 @@ func HighestAdmissible(maxIdx int, admit func(int) bool) int {
 // Equation-1 peak temperature stays below the 95C limit. If even the lowest
 // frequency violates the limit the lowest frequency is returned — the chip
 // cannot stop, it only throttles (the paper's systems never gate busy
-// sockets).
-func PickFrequency(ambient units.Celsius, dyn DynamicPowerFn, sink Sink, leak Leakage) units.MHz {
+// sockets). dyn[k] is the job's dynamic power at Frequencies[k].
+func PickFrequency(ambient units.Celsius, dyn []units.Watts, sink Sink, leak Leakage) units.MHz {
 	i := HighestAdmissible(len(Frequencies)-1, func(i int) bool {
-		temp, _ := SolvePeak(ambient, dyn(Frequencies[i]), sink, leak)
+		temp, _ := SolvePeak(ambient, dyn[i], sink, leak)
 		return temp <= TempLimit
 	})
 	if i < 0 {
@@ -118,10 +104,10 @@ func PickFrequency(ambient units.Celsius, dyn DynamicPowerFn, sink Sink, leak Le
 // PredictFrequency is the scheduler-side equivalent of PickFrequency using
 // the cheap two-step leakage compensation of Section IV-C rather than the
 // exact fixed point. Schedulers use it to estimate how fast a job would run
-// on a candidate socket.
-func PredictFrequency(ambient units.Celsius, dyn DynamicPowerFn, sink Sink, leak Leakage) units.MHz {
+// on a candidate socket. dyn is as for PickFrequency.
+func PredictFrequency(ambient units.Celsius, dyn []units.Watts, sink Sink, leak Leakage) units.MHz {
 	i := HighestAdmissible(len(Frequencies)-1, func(i int) bool {
-		return PredictTwoStep(ambient, dyn(Frequencies[i]), sink, leak) <= TempLimit
+		return PredictTwoStep(ambient, dyn[i], sink, leak) <= TempLimit
 	})
 	if i < 0 {
 		return FMin

@@ -6,14 +6,16 @@ import (
 	"densim/internal/units"
 )
 
-// quadraticPower is a representative dynamic-power curve: P scales roughly
-// with f*V^2 and V scales with f, so ~cubic in f, normalized to peak watts
-// at 1900 MHz.
-func quadraticPower(peak units.Watts) DynamicPowerFn {
-	return func(f units.MHz) units.Watts {
+// quadraticPower is a representative dynamic-power curve, one power per
+// P-state: P scales roughly with f*V^2 and V scales with f, so ~cubic in f,
+// normalized to peak watts at 1900 MHz.
+func quadraticPower(peak units.Watts) []units.Watts {
+	dyn := make([]units.Watts, len(Frequencies))
+	for k, f := range Frequencies {
 		r := float64(f) / float64(FMax)
-		return units.Watts(float64(peak) * r * r * r)
+		dyn[k] = units.Watts(float64(peak) * r * r * r)
 	}
+	return dyn
 }
 
 func TestLadderShape(t *testing.T) {
@@ -48,15 +50,6 @@ func TestFreqIndex(t *testing.T) {
 	}
 	if _, err := FreqIndex(1234); err == nil {
 		t.Error("FreqIndex(1234) did not error")
-	}
-}
-
-func TestStepDown(t *testing.T) {
-	if StepDown(1900) != 1700 || StepDown(1300) != 1100 {
-		t.Error("StepDown ladder mismatch")
-	}
-	if StepDown(1100) != 1100 {
-		t.Error("StepDown below floor should clamp")
 	}
 }
 

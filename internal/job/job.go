@@ -55,10 +55,9 @@ func (j *Job) Expansion() float64 {
 // unreachable the moment the completion hooks return — so the owner hands it
 // back with Put and the next arrival reuses the allocation via Get. Get
 // resets every field to exactly what New would construct, so a recycled job
-// is indistinguishable from a fresh one; the simulator's frequency memo
-// (sched.LadderSearch) keys by benchmark value, never by job pointer
-// identity, and is never invalidated, which is what makes recycling
-// unobservable.
+// is indistinguishable from a fresh one; the simulator's frequency search
+// (sched.LadderSearch) interns curves by benchmark value, never by job
+// pointer, and is never invalidated, which makes recycling unobservable.
 // Not safe for concurrent use; give each simulation its own Pool.
 type Pool struct {
 	free []*Job

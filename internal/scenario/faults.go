@@ -142,7 +142,8 @@ type SKUOverride struct {
 	// TDPW is the part's thermal design power in watts (0 = platform
 	// default TDP).
 	TDPW float64 `json:"tdp_w,omitempty"`
-	// FMaxMHz caps the part's DVFS ladder (0 = full ladder with boost).
+	// FMaxMHz caps the part's DVFS ladder at one of its P-states (0 = full
+	// ladder with boost).
 	FMaxMHz float64 `json:"fmax_mhz,omitempty"`
 }
 
@@ -170,8 +171,10 @@ func (s *Scenario) validateFaults() error {
 		if o.TDPW < 0 || math.IsNaN(o.TDPW) || math.IsInf(o.TDPW, 0) {
 			return fmt.Errorf("scenario %q: sku override %d: bad tdp_w %v", s.Name, i, o.TDPW)
 		}
-		if o.FMaxMHz < 0 || math.IsNaN(o.FMaxMHz) || math.IsInf(o.FMaxMHz, 0) {
-			return fmt.Errorf("scenario %q: sku override %d: bad fmax_mhz %v", s.Name, i, o.FMaxMHz)
+		// A cap must be a P-state: the power manager and the schedulers'
+		// predictions price a socket's frequency by its ladder index.
+		if _, err := chipmodel.FreqIndex(units.MHz(o.FMaxMHz)); o.FMaxMHz != 0 && err != nil {
+			return fmt.Errorf("scenario %q: sku override %d: bad fmax_mhz %v (not a P-state)", s.Name, i, o.FMaxMHz)
 		}
 		if o.TDPW == 0 && o.FMaxMHz == 0 {
 			return fmt.Errorf("scenario %q: sku override %d: needs tdp_w and/or fmax_mhz", s.Name, i)

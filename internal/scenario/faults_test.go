@@ -131,6 +131,7 @@ func TestScenarioSKUValidation(t *testing.T) {
 		{Row: 0, Lane: 0, Cartridge: 0}, // neither field set
 		{Row: 0, Lane: 0, Cartridge: 0, TDPW: -5},
 		{Row: 0, Lane: 0, Cartridge: 0, FMaxMHz: -1},
+		{Row: 0, Lane: 0, Cartridge: 0, FMaxMHz: 1600}, // between P-states
 	}
 	for i, o := range declarative {
 		sc := base()

@@ -7,7 +7,6 @@ import (
 	"densim/internal/geometry"
 	"densim/internal/job"
 	"densim/internal/units"
-	"densim/internal/workload"
 )
 
 // CouplingPredictor (CP) is the paper's proposed scheduler (Section IV-C).
@@ -136,12 +135,11 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 	}
 
 	util := cp.util(s, len(idle))
-	bm := &j.Benchmark
-	dm := bm.DynMax()
+	c := cp.vec.Ladder.Curve(&j.Benchmark)
 	best := cands[0]
-	bestScore := cp.score(s, bm, dm, best, util)
+	bestScore := cp.score(s, c, best, util)
 	for _, id := range cands[1:] {
-		if sc := cp.score(s, bm, dm, id, util); sc > bestScore || (sc == bestScore && id < best) {
+		if sc := cp.score(s, c, id, util); sc > bestScore || (sc == bestScore && id < best) {
 			best, bestScore = id, sc
 		}
 	}
@@ -155,8 +153,7 @@ func (cp *CouplingPredictor) Pick(s State, j *job.Job, idle []geometry.SocketID)
 // it between picks changes no pick.
 func (cp *CouplingPredictor) Score(s State, j *job.Job, cand geometry.SocketID, nIdle int) float64 {
 	cp.bind(s)
-	bm := &j.Benchmark
-	return cp.score(s, bm, bm.DynMax(), cand, cp.util(s, nIdle))
+	return cp.score(s, cp.vec.Ladder.Curve(&j.Benchmark), cand, cp.util(s, nIdle))
 }
 
 // util is the system utilization estimate with nIdle sockets idle: the
@@ -202,7 +199,7 @@ func (cp *CouplingPredictor) reset(s State, v *StateVectors) {
 
 // score returns the candidate's net predicted frequency benefit in MHz.
 // util weights the losses predicted for currently-idle downwind sockets.
-// bm is the job's benchmark and dm its DynMax.
+// c is the job's curve.
 //
 // The heat the candidate would inject, added, needs its own leakage at its
 // predicted chip temperature: a two-step prediction and two math.Exp. Most
@@ -228,17 +225,18 @@ func (cp *CouplingPredictor) reset(s State, v *StateVectors) {
 // sockets after it skip the bound and are searched at their exact rise
 // directly. Either way the score is bit-identical to computing added up
 // front.
-func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Watts, cand geometry.SocketID, util float64) float64 {
+func (cp *CouplingPredictor) score(s State, c *LadderCurve, cand geometry.SocketID, util float64) float64 {
 	leak := cp.vec.Leak[cand]
-	ladder := cp.vec.Ladder
 
-	// Own predicted frequency at the candidate's current ambient (the
-	// simulation's ladder search), capped by the candidate's boost budget.
+	// Own predicted P-state at the candidate's current ambient (the floor
+	// when none is admissible), capped by the candidate's boost budget;
+	// caps are ladder points, so the index prices the capped frequency.
 	candAmb := cp.vec.Amb[cand]
-	ownFreq := LadderFreq(ladder.Index(cand, bm, dm, candAmb))
-	if !cp.opts.IgnoreBudget && ownFreq > cp.vec.Cap[cand] {
-		ownFreq = cp.vec.Cap[cand]
+	k := max(c.Index(cand, candAmb), 0)
+	if cap := cp.vec.Cap[cand]; !cp.opts.IgnoreBudget && chipmodel.Frequencies[k] > cap {
+		k = chipmodel.CapIndex(cap)
 	}
+	ownFreq := chipmodel.Frequencies[k]
 	if cp.opts.NoCoupling {
 		return float64(ownFreq)
 	}
@@ -247,7 +245,7 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 	// power at the predicted frequency plus the leakage at the predicted
 	// temperature, minus the gated power it injects today while idle.
 	// addedHi bounds it with the leakage clamp in place of the leakage.
-	ownDyn := bm.DynamicPowerAt(ownFreq)
+	ownDyn := c.Dyn(k)
 	addedHi := float64(ownDyn) + float64(leak.Max()) -
 		chipmodel.GatedPowerFrac*float64(leak.TDP)
 	var added float64
@@ -265,20 +263,17 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 		if riseHi <= 0 {
 			continue
 		}
-		var weight float64
-		var dbm *workload.Benchmark
-		running := cp.vec.Job[down]
-		if running != nil {
-			weight, dbm = 1, &running.Benchmark
-		} else if util > 0 && !s.Busy(down) {
-			weight, dbm = util, bm
-		} else {
-			continue
+		weight, dc := 1.0, cp.vec.Curve[down]
+		if dc == nil {
+			if util <= 0 || s.Busy(down) {
+				continue
+			}
+			weight, dc = util, c
 		}
 		// The pre-rise prediction is the raw index; the budget clamp below
 		// stays per-use.
 		amb := cp.vec.Amb[down]
-		bIdx := ladder.Index(down, dbm, dbm.DynMax(), amb)
+		bIdx := dc.Index(down, amb)
 		// The post-rise search scans the same row down from the pre-rise
 		// index: the predicate is monotone non-increasing in ambient
 		// (PredictTwoStep adds the ambient term and everything downstream of
@@ -291,7 +286,7 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 		// bound's rise, where keeping bIdx proves the loss zero, and at the
 		// exact rise only otherwise.
 		if !exact {
-			if ladder.IndexBelow(down, bIdx, amb+riseHi) == bIdx {
+			if dc.IndexBelow(down, bIdx, amb+riseHi) == bIdx {
 				continue
 			}
 			// The prediction replays from the per-socket memo when
@@ -316,7 +311,7 @@ func (cp *CouplingPredictor) score(s State, bm *workload.Benchmark, dm units.Wat
 			}
 			exact = true
 		}
-		aIdx := ladder.IndexBelow(down, bIdx, amb+units.Celsius(dw.C*added))
+		aIdx := dc.IndexBelow(down, bIdx, amb+units.Celsius(dw.C*added))
 		before, after := LadderFreq(bIdx), LadderFreq(aIdx)
 		if !cp.opts.IgnoreBudget {
 			// Losses above the downwind socket's budget cap do not count:

@@ -71,7 +71,7 @@ func TestCPNoCouplingIgnoresDownwind(t *testing.T) {
 	mk := func() *fakeState {
 		fs := newFakeState(t, srv)
 		for _, p := range []int{1, 2, 3, 5} {
-			fs.jobs[z(p)] = compJob()
+			fs.run(z(p), compJob())
 		}
 		fs.amb[z(1)] = 58
 		fs.amb[z(2)] = 57
@@ -112,7 +112,7 @@ func TestCPIdleWeightedCountsIdleDownwind(t *testing.T) {
 		// high.
 		for _, sk := range srv.Sockets() {
 			if sk.Row != row {
-				fs.jobs[sk.ID] = compJob()
+				fs.run(sk.ID, compJob())
 			}
 		}
 		fs.amb[z(1)] = 65 // zone 2, 30-fin
@@ -174,7 +174,7 @@ func TestCPIdleWeightedSkipsDeadDownwind(t *testing.T) {
 		fs := newFakeState(t, srv)
 		for _, sk := range srv.Sockets() {
 			if sk.Row != row {
-				fs.jobs[sk.ID] = compJob()
+				fs.run(sk.ID, compJob())
 			}
 		}
 		for p := 1; p <= 4; p++ {

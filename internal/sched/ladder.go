@@ -16,17 +16,17 @@ import (
 // Predictive and CP use it for a candidate's own frequency and for each
 // busy downwind socket's frequency before the candidate's heat arrives.
 //
-// The index is a pure function of (ambient, the benchmark's power curve,
-// the socket's sink, the socket's leakage model). The last two are fixed
-// per socket for the lifetime of a simulation and take a handful of values
-// (a class), and the power curve is determined by its single scalar DynMax
-// (see workload.Benchmark.DynMax). So the search holds one seeded
-// chipmodel.AdmissRow per (curve, class), built the first time the run
-// meets the curve, and answers every query with a scan down that row. A row
-// returns exactly what a fresh PredictTwoStep comparison would at any
-// ambient, so the search has nothing to invalidate — not at a completion, a
-// migration, a fault or a snapshot restore — and a recycled job allocation
-// cannot alias a stale row.
+// The index is a pure function of (ambient, the benchmark, the socket's
+// sink, the socket's leakage model). The last two are fixed per socket for
+// the lifetime of a simulation and take a handful of values (a class). So
+// the search resolves each benchmark the run meets once into a LadderCurve,
+// interned by benchmark value, which holds the benchmark's per-P-state
+// power and performance and one seeded chipmodel.AdmissRow per class, and
+// answers every query with a scan down a row. A row returns exactly what a
+// fresh PredictTwoStep comparison would at any ambient, so the search has
+// nothing to invalidate — not at a completion, a migration, a fault or a
+// snapshot restore — and a recycled job allocation cannot alias a stale
+// row.
 //
 // A LadderSearch belongs to one simulation and one goroutine.
 type LadderSearch struct {
@@ -34,10 +34,8 @@ type LadderSearch struct {
 	// server's sockets.
 	classOf []int32
 	classes []ladderClass
-	// curves lists every power curve met so far; last[i] is the curve of
-	// socket i's last Index call (nil before it), which IndexBelow reads.
+	// curves lists every benchmark met so far.
 	curves []*LadderCurve
-	last   []*LadderCurve
 }
 
 type ladderClass struct {
@@ -45,9 +43,14 @@ type ladderClass struct {
 	leak chipmodel.Leakage
 }
 
-// LadderCurve is one power curve's admissibility rows, one per class.
+// LadderCurve is one benchmark resolved against the P-state ladder: per
+// index k its DynamicPowerAt and RelPerf at chipmodel.Frequencies[k], and
+// its admissibility rows, one per class. It is the only carrier of a
+// running job's power and performance constants, read-only once built.
 type LadderCurve struct {
-	dm      units.Watts
+	bm      workload.Benchmark
+	dyn     []units.Watts
+	perf    []float64
 	classOf []int32
 	rows    []chipmodel.AdmissRow
 }
@@ -55,10 +58,7 @@ type LadderCurve struct {
 // NewLadderSearch builds the search for srv's sockets with the per-socket
 // leakage models leak, which must stay fixed for the life of the search.
 func NewLadderSearch(srv *geometry.Server, leak []chipmodel.Leakage) *LadderSearch {
-	ls := &LadderSearch{
-		classOf: make([]int32, len(leak)),
-		last:    make([]*LadderCurve, len(leak)),
-	}
+	ls := &LadderSearch{classOf: make([]int32, len(leak))}
 	for i := range leak {
 		c := ladderClass{srv.Sink(geometry.SocketID(i)), leak[i]}
 		k := 0
@@ -73,35 +73,36 @@ func NewLadderSearch(srv *geometry.Server, leak []chipmodel.Leakage) *LadderSear
 	return ls
 }
 
-// Curve returns the rows of bm's power curve (dm is its DynMax), seeding
-// them on first sight. A run meets a handful of curves, one per benchmark
-// of its mix, so the lookup is a short scan.
-func (ls *LadderSearch) Curve(bm *workload.Benchmark, dm units.Watts) *LadderCurve {
+// Curve returns bm's curve, resolving and seeding it on first sight. A run
+// meets a handful of benchmarks, one per entry of its mix, so the lookup is
+// a short scan.
+func (ls *LadderSearch) Curve(bm *workload.Benchmark) *LadderCurve {
 	for _, c := range ls.curves {
-		if c.dm == dm {
+		// The power compare turns most other benchmarks away cheaply.
+		if c.bm.PowerAt90C == bm.PowerAt90C && c.bm == *bm {
 			return c
 		}
 	}
-	c := &LadderCurve{dm: dm, classOf: ls.classOf, rows: make([]chipmodel.AdmissRow, len(ls.classes))}
-	dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
+	n := len(chipmodel.Frequencies)
+	c := &LadderCurve{bm: *bm, dyn: make([]units.Watts, n), perf: make([]float64, n),
+		classOf: ls.classOf, rows: make([]chipmodel.AdmissRow, len(ls.classes))}
+	for k, f := range chipmodel.Frequencies {
+		c.dyn[k] = bm.DynamicPowerAt(f)
+		c.perf[k] = bm.RelPerf(f)
+	}
 	for k, cl := range ls.classes {
-		c.rows[k] = chipmodel.NewAdmissRow(dyn, cl.sink, cl.leak)
+		c.rows[k] = chipmodel.NewAdmissRow(c.dyn, cl.sink, cl.leak)
 	}
 	ls.curves = append(ls.curves, c)
 	return c
 }
 
-// Index returns the uncapped ladder index of bm (whose DynMax is dm,
-// hoisted by callers that loop over sockets) on socket id at ambient amb,
-// and records bm's curve as the socket's last, which IndexBelow reads.
-func (ls *LadderSearch) Index(id geometry.SocketID, bm *workload.Benchmark, dm units.Watts, amb units.Celsius) int {
-	c := ls.last[id]
-	if c == nil || c.dm != dm {
-		c = ls.Curve(bm, dm)
-		ls.last[id] = c
-	}
-	return c.Index(id, amb)
-}
+// Dyn returns the curve's dynamic power at P-state k.
+func (c *LadderCurve) Dyn(k int) units.Watts { return c.dyn[k] }
+
+// Perf returns the curve's performance at P-state k relative to FMax: the
+// seconds of work a second of wall time retires.
+func (c *LadderCurve) Perf(k int) float64 { return c.perf[k] }
 
 // Index returns the curve's uncapped ladder index on socket id at ambient
 // amb.
@@ -110,11 +111,11 @@ func (c *LadderCurve) Index(id geometry.SocketID, amb units.Celsius) int {
 }
 
 // IndexBelow returns the highest index at or below top that is admissible
-// at ambient amb for the power curve of socket id's last Index call: CP's
-// prediction of a downwind socket after a candidate's heat has raised its
-// ambient, with top the index before the rise.
-func (ls *LadderSearch) IndexBelow(id geometry.SocketID, top int, amb units.Celsius) int {
-	return ls.last[id].rows[ls.classOf[id]].Index(top, amb)
+// for the curve on socket id at ambient amb: CP's prediction of a downwind
+// socket after a candidate's heat has raised its ambient, with top the
+// index before the rise.
+func (c *LadderCurve) IndexBelow(id geometry.SocketID, top int, amb units.Celsius) int {
+	return c.rows[c.classOf[id]].Index(top, amb)
 }
 
 // LadderFreq maps a ladder index to its frequency, the ladder floor for -1

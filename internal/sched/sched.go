@@ -18,7 +18,7 @@
 // answered without recomputation, exactly:
 //
 //   - Frequencies come from the ladder search's admissibility rows, seeded
-//     once per power curve and (sink, leakage) class, which decide nearly
+//     once per benchmark and (sink, leakage) class, which decide nearly
 //     every probe with two compares and return exactly what a fresh
 //     prediction would. Predictive and CP read it.
 //   - Lane epochs (StateVectors.Epoch): CN re-reads a channel's socket
@@ -71,9 +71,8 @@ type State interface {
 // StateVectors is the live per-socket state, indexed by socket ID (Epoch by
 // airflow channel). The slices alias the simulator's storage: they are valid
 // for the duration of one Pick and must never be written by schedulers.
-// Ladder is the one exception: schedulers may seed its rows and record a
-// socket's last curve through its Index and Curve methods, and may write
-// nothing else.
+// Ladder is the one exception: schedulers may resolve a benchmark's curve
+// through its Curve method, and may write nothing else.
 //
 //   - Amb[i] is the socket's current entry air temperature.
 //   - Pewma[i] is the socket's 30-second power average, the heatsink-mass
@@ -82,7 +81,8 @@ type State interface {
 //     (chipmodel.Sink.RExt), a per-socket constant.
 //   - Hist[i] is a slow-moving average of the socket temperature (the
 //     history input of A-Random).
-//   - Job[i] is the running job, nil while the socket is idle or dead.
+//   - Curve[i] is the running job's curve (LadderCurve), nil while the
+//     socket is idle or dead.
 //   - Leak[i] is the socket's leakage model. Leakage is per-socket:
 //     heterogeneous SKUs bin parts at different TDPs, so two sockets can
 //     carry different leakage curves.
@@ -106,15 +106,15 @@ type State interface {
 //     one simulation: a new simulation's epochs restart at zero, so a memo
 //     is bound to the StateVectors it was filled from.
 //   - Ladder is the simulation's one frequency search (see LadderSearch):
-//     one read-only admissibility row per power curve and (sink, leakage)
-//     class, exact at any ambient and so never invalidated. The power
-//     manager picks through it too.
+//     one read-only curve per benchmark, with an admissibility row per
+//     (sink, leakage) class, exact at any ambient and so never invalidated.
+//     The power manager picks through it too.
 type StateVectors struct {
 	Amb    []units.Celsius
 	Pewma  []units.Watts
 	RExt   []float64
 	Hist   []units.Celsius
-	Job    []*job.Job
+	Curve  []*LadderCurve
 	Leak   []chipmodel.Leakage
 	Cap    []units.MHz
 	Epoch  []uint64
@@ -501,8 +501,7 @@ func (Predictive) Name() string { return "Predictive" }
 // pick estimates little beyond the sockets cooler than its best so far.
 func (Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	v := s.Vectors()
-	bm := &j.Benchmark
-	curve := v.Ladder.Curve(bm, bm.DynMax())
+	curve := v.Ladder.Curve(&j.Benchmark)
 	score := func(id geometry.SocketID) float64 {
 		f := LadderFreq(curve.Index(id, v.Amb[id]))
 		if cap := v.Cap[id]; f > cap {
@@ -529,11 +528,12 @@ func (Predictive) Pick(s State, j *job.Job, idle []geometry.SocketID) geometry.S
 }
 
 // PredictSocketFrequency estimates the frequency a job with the given
-// dynamic-power curve would achieve on a socket: the Equation-1 two-step
-// thermal prediction at the socket's ambient and leakage, capped at what its
-// boost budget permits. It is the unmemoized reference for the estimate
-// Predictive and CP read from the LadderSearch.
-func PredictSocketFrequency(v *StateVectors, id geometry.SocketID, dyn chipmodel.DynamicPowerFn, sink chipmodel.Sink) units.MHz {
+// dynamic-power curve (dyn[k] its power at chipmodel.Frequencies[k]) would
+// achieve on a socket: the Equation-1 two-step thermal prediction at the
+// socket's ambient and leakage, capped at what its boost budget permits. It
+// is the unmemoized reference for the estimate Predictive, CP and the
+// migration pass read from the LadderSearch.
+func PredictSocketFrequency(v *StateVectors, id geometry.SocketID, dyn []units.Watts, sink chipmodel.Sink) units.MHz {
 	f := chipmodel.PredictFrequency(v.Amb[id], dyn, sink, v.Leak[id])
 	if cap := v.Cap[id]; f > cap {
 		return cap

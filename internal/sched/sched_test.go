@@ -26,6 +26,7 @@ type fakeState struct {
 	rext  []float64
 	hist  []units.Celsius
 	jobs  []*job.Job
+	curve []*LadderCurve
 	leak  []chipmodel.Leakage
 	caps  []units.MHz
 	dead  []bool
@@ -51,13 +52,14 @@ func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
 		rext:  make([]float64, n),
 		hist:  make([]units.Celsius, n),
 		jobs:  make([]*job.Job, n),
+		curve: make([]*LadderCurve, n),
 		leak:  make([]chipmodel.Leakage, n),
 		caps:  make([]units.MHz, n),
 		dead:  make([]bool, n),
 		epoch: make([]uint64, af.NumChannels()),
 	}
 	fs.vec = StateVectors{Amb: fs.amb, Pewma: fs.pewma, RExt: fs.rext, Hist: fs.hist,
-		Job: fs.jobs, Leak: fs.leak, Cap: fs.caps, Epoch: fs.epoch}
+		Curve: fs.curve, Leak: fs.leak, Cap: fs.caps, Epoch: fs.epoch}
 	for i := 0; i < n; i++ {
 		id := geometry.SocketID(i)
 		fs.rext[i] = srv.Sink(id).RExt()
@@ -69,6 +71,13 @@ func newFakeState(t *testing.T, srv *geometry.Server) *fakeState {
 	}
 	fs.vec.Ladder = NewLadderSearch(srv, fs.leak)
 	return fs
+}
+
+// run places j on socket id, as the simulator does: the running job and
+// its resolved curve.
+func (f *fakeState) run(id geometry.SocketID, j *job.Job) {
+	f.jobs[id] = j
+	f.curve[id] = f.vec.Ladder.Curve(&j.Benchmark)
 }
 
 // setTemp sets the socket's power average so that its socket temperature
@@ -215,7 +224,7 @@ func TestSchedulerPicksDoNotAllocate(t *testing.T) {
 		fs.setTemp(sk.ID, fs.amb[sk.ID]+units.Celsius((i*7)%20))
 		fs.hist[sk.ID] = fs.temp(sk.ID)
 		if i%2 == 0 {
-			fs.jobs[sk.ID] = compJob()
+			fs.run(sk.ID, compJob())
 		} else {
 			idle = append(idle, sk.ID)
 		}
@@ -336,7 +345,7 @@ func TestCPAvoidsHurtingDownstream(t *testing.T) {
 	// Downstream socket is busy at an ambient right at the boost edge: any
 	// added upstream heat costs it a bin. Note the downstream 30-fin sink
 	// boosts until ~68C ambient.
-	fs.jobs[down] = compJob()
+	fs.run(down, compJob())
 	fs.amb[down] = 67
 	// Only the upstream socket is idle; CP must still pick it (it is the
 	// only candidate) — sanity.
@@ -362,7 +371,7 @@ func TestCPPrefersNonCouplingSocketAtHighLoad(t *testing.T) {
 	row := 4
 	z := func(p int) geometry.SocketID { return srv.SocketAt(row, 0, p).ID }
 	for _, p := range []int{1, 2, 3, 5} {
-		fs.jobs[z(p)] = compJob()
+		fs.run(z(p), compJob())
 	}
 	fs.amb[z(1)] = 58
 	fs.amb[z(2)] = 57
@@ -463,7 +472,7 @@ func TestEpochMemosBindToTheirState(t *testing.T) {
 			fs.amb[id] = units.Celsius(40 + k%30)
 			fs.setTemp(id, fs.amb[id]+units.Celsius(k%7))
 			if i%3 == 0 {
-				fs.jobs[id] = compJob()
+				fs.run(id, compJob())
 			}
 		}
 		for ch := range fs.epoch {

@@ -101,8 +101,7 @@ var baselineRefs = map[string]baselineRef{
 	},
 	"Predictive": func(s sched.State, j *job.Job, idle []geometry.SocketID, _ uint64) geometry.SocketID {
 		srv, v := s.Server(), s.Vectors()
-		bm := &j.Benchmark
-		dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
+		dyn := powerColumn(&j.Benchmark)
 		return refArgBest(idle, func(id geometry.SocketID) float64 {
 			f := sched.PredictSocketFrequency(v, id, dyn, srv.Sink(id))
 			return -float64(f)*1e3 + float64(v.Amb[id])

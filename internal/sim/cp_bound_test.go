@@ -97,9 +97,9 @@ func refCPRow(srv *geometry.Server, idle []geometry.SocketID, state uint64) []ge
 // whether the bound alone decides it.
 func (o *cpBoundOracle) refCPScore(s sched.State, bm *workload.Benchmark, cand geometry.SocketID, util float64) float64 {
 	v := s.Vectors()
-	ladder := v.Ladder
+	c := v.Ladder.Curve(bm)
 	leak := v.Leak[cand]
-	own := sched.LadderFreq(ladder.Index(cand, bm, bm.DynMax(), v.Amb[cand]))
+	own := sched.LadderFreq(c.Index(cand, v.Amb[cand]))
 	if !o.opts.IgnoreBudget && own > v.Cap[cand] {
 		own = v.Cap[cand]
 	}
@@ -121,19 +121,19 @@ func (o *cpBoundOracle) refCPScore(s sched.State, bm *workload.Benchmark, cand g
 			continue
 		}
 		var weight float64
-		var dbm *workload.Benchmark
-		if running := v.Job[down]; running != nil {
-			weight, dbm = 1, &running.Benchmark
+		var dc *sched.LadderCurve
+		if running := v.Curve[down]; running != nil {
+			weight, dc = 1, running
 		} else if util > 0 && !s.Busy(down) {
-			weight, dbm = util, bm
+			weight, dc = util, c
 		} else {
 			continue
 		}
 		amb := v.Amb[down]
-		bIdx := ladder.Index(down, dbm, dbm.DynMax(), amb)
-		aIdx := ladder.IndexBelow(down, bIdx, amb+rise)
+		bIdx := dc.Index(down, amb)
+		aIdx := dc.IndexBelow(down, bIdx, amb+rise)
 		o.checks++
-		if ladder.IndexBelow(down, bIdx, amb+units.Celsius(dw.C*addedHi)) == bIdx {
+		if dc.IndexBelow(down, bIdx, amb+units.Celsius(dw.C*addedHi)) == bIdx {
 			o.decided++
 		}
 		if aIdx != bIdx {

@@ -34,13 +34,12 @@ package sim
 //     the end of the run. Idle draw does not depend on the thermal state,
 //     so only the idle-energy accrual is replayed and the sweep is skipped.
 //
-//     Its power manager picks through the run's one ladder search
-//     (StateVectors.Ladder, which Predictive and CP read too) and clamps
-//     the uncapped index to the boost cap. The search's rows, one per
-//     benchmark DynMax and (sink, leakage) class, return exactly what a
-//     fresh prediction would at any ambient, so it is exact whatever its
-//     history: no completion, migration, fault or restore invalidates it,
-//     and a recycled job allocation cannot alias a stale row.
+//     Its power manager picks through the running job's curve in the run's
+//     one ladder search (StateVectors.Ladder, which Predictive and CP read
+//     too) and clamps the uncapped index to the boost cap. A curve's rows
+//     return exactly what a fresh prediction would at any ambient, so the
+//     search is exact whatever its history: no completion, migration, fault
+//     or restore invalidates it, and a recycled job cannot alias a stale row.
 //
 // The event engine arms tick skipping (the settled skip and both licences)
 // unless a Probe or the invariant harness observes every tick, so a run
@@ -55,7 +54,6 @@ import (
 
 	"densim/internal/chipmodel"
 	"densim/internal/geometry"
-	"densim/internal/sched"
 	"densim/internal/units"
 )
 
@@ -157,23 +155,22 @@ func (s *Simulator) unsettle(i int) {
 	}
 }
 
-// pickFrequency is the power manager's frequency pick: the reference search
-// on the serial engine; on the event engine, the run's ladder search
-// (StateVectors.Ladder, shared with the schedulers) clamped to the socket's
-// boost cap. The clamp is exact: the predicate is monotone over the ladder,
-// so the highest admissible index at or below the cap's index is the
-// smaller of that index and the uncapped answer — what
-// pickFrequencyIndexed's capped search returns.
-func (s *Simulator) pickFrequency(id geometry.SocketID) units.MHz {
+// pickFrequency is the power manager's P-state pick: the reference search
+// on the serial engine; on the event engine, the running job's curve
+// clamped to the socket's boost cap, the floor when none is admissible. The
+// clamp is exact: the predicate is monotone over the ladder, so the highest
+// admissible index at or below the cap's index is the smaller of that index
+// and the uncapped answer — what pickFrequencyIndexed's capped search
+// returns.
+func (s *Simulator) pickFrequency(id geometry.SocketID) int {
 	if !s.eng.incremental {
 		return s.pickFrequencyIndexed(id)
 	}
-	bm := &s.jobs[id].Benchmark
-	k := s.vec.Ladder.Index(id, bm, bm.DynMax(), s.amb[id])
+	k := s.curve[id].Index(id, s.amb[id])
 	if c := chipmodel.CapIndex(s.caps[id]); k > c {
 		k = c
 	}
-	return sched.LadderFreq(k)
+	return max(k, 0)
 }
 
 // ensureTickGains hoists the four first-order blend factors for the fixed
@@ -204,7 +201,7 @@ func (s *Simulator) tickChannels() (skipped int64) {
 	// contiguous ID range, so the inner loop below walks each slice linearly
 	// with the bounds checks lifted out of the per-socket body.
 	amb, chip, hist := s.amb, s.chip, s.hist
-	util, pewma, freqs := s.util, s.pewma, s.freq
+	util, pewma, pstate := s.util, s.pewma, s.pstate
 	powers, caps, jobs := s.powers, s.caps, s.jobs
 	depth := s.srv.Depth
 	for ch := range e.dirty {
@@ -221,7 +218,7 @@ func (s *Simulator) tickChannels() (skipped int64) {
 			sink := s.srv.Sink(id)
 			prevAmb, prevChip := amb[i], chip[i]
 			prevPE, prevHist := pewma[i], hist[i]
-			prevUtil, prevFreq, prevPower := util[i], freqs[i], powers[i]
+			prevUtil, prevPState, prevPower := util[i], pstate[i], powers[i]
 
 			amb[i] = chipmodel.StepWithGain(prevAmb, ambients[i], kSink)
 			chipTarget := chipmodel.PeakTemp(amb[i], prevPower, sink)
@@ -239,11 +236,11 @@ func (s *Simulator) tickChannels() (skipped int64) {
 			caps[i] = s.capFor(i, util[i])
 
 			if busy {
-				if f := s.pickFrequency(id); f != freqs[i] {
+				if k := s.pickFrequency(id); k != pstate[i] {
 					if s.tel != nil {
-						s.tel.OnThrottle(s.now, i, freqs[i], f)
+						s.tel.OnThrottle(s.now, i, chipmodel.Frequencies[pstate[i]], chipmodel.Frequencies[k])
 					}
-					freqs[i] = f
+					pstate[i] = k
 					s.refreshDoneAt(i)
 				}
 				s.setPower(i, s.busyPower(i))
@@ -254,7 +251,7 @@ func (s *Simulator) tickChannels() (skipped int64) {
 			// every socket it owns: re-running it would change nothing.
 			if settled && (amb[i] != prevAmb || chip[i] != prevChip ||
 				pewma[i] != prevPE || hist[i] != prevHist ||
-				util[i] != prevUtil || freqs[i] != prevFreq || powers[i] != prevPower) {
+				util[i] != prevUtil || pstate[i] != prevPState || powers[i] != prevPower) {
 				settled = false
 			}
 		}

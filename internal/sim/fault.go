@@ -270,8 +270,7 @@ func (s *Simulator) killSocket(i int) {
 	s.advanceSocketTo(i, s.now)
 	j := s.jobs[i]
 	if j != nil {
-		s.jobs[i] = nil
-		s.freq[i] = 0
+		s.jobs[i], s.curve[i] = nil, nil
 		s.busyCount--
 		s.unsettle(i)
 		s.setDoneAt(i, neverDone)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"densim/internal/chipmodel"
 	"densim/internal/geometry"
 	"densim/internal/sched"
 	"densim/internal/units"
@@ -72,14 +73,14 @@ func (s *Simulator) runMigrations() {
 		if float64(j.Work) < mc.MinRemainingWork*float64(mc.Cost) {
 			continue
 		}
-		curFreq := s.freq[i]
+		curFreq := chipmodel.Frequencies[s.pstate[i]]
 		if curFreq >= maxFreq {
 			continue // nothing to gain
 		}
 		dest := s.cfg.Scheduler.Pick(s, j, s.idleSockets())
-		bm := &j.Benchmark
-		dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
-		predicted := sched.PredictSocketFrequency(s.Vectors(), dest, dyn, s.srv.Sink(dest))
+		// The destination's estimate as Predictive's score reads it: the
+		// job's curve in the ladder search, capped at the socket's cap.
+		predicted := min(sched.LadderFreq(s.curve[i].Index(dest, s.amb[dest])), s.caps[dest])
 		if float64(predicted-curFreq) < mc.MinGainMHz {
 			continue
 		}
@@ -98,8 +99,8 @@ func (s *Simulator) migrate(srcID, dstID geometry.SocketID) {
 	s.advanceSocketTo(int(dstID), s.now)
 
 	// Source goes idle (gated).
-	s.jobs[srcID] = nil
-	s.freq[srcID] = 0
+	c := s.curve[srcID]
+	s.jobs[srcID], s.curve[srcID] = nil, nil
 	s.markIdle(int(srcID))
 	s.setDoneAt(int(srcID), neverDone)
 	s.setPower(int(srcID), s.idlePow(int(srcID)))
@@ -108,9 +109,9 @@ func (s *Simulator) migrate(srcID, dstID geometry.SocketID) {
 	j.Work += s.cfg.Migration.Cost
 
 	// Destination starts the job at its locally picked frequency.
-	s.jobs[dstID] = j
+	s.jobs[dstID], s.curve[dstID] = j, c
 	s.markBusy(int(dstID))
-	s.freq[dstID] = s.pickFrequency(dstID)
+	s.pstate[dstID] = s.pickFrequency(dstID)
 	s.refreshDoneAt(int(dstID))
 	s.setPower(int(dstID), s.busyPower(int(dstID)))
 

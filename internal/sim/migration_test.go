@@ -212,7 +212,7 @@ func TestMigrationSkipsBoostCappedJobs(t *testing.T) {
 	if err := h.Err(); err != nil {
 		t.Errorf("invariant violations: %v", err)
 	}
-	if got := s.freq[0]; got != 0 { // job done; sanity only
+	if got := s.mhz(0); got != 0 { // job done; sanity only
 		t.Logf("socket 0 frequency at end: %v", got)
 	}
 	if s.Migrations() != 0 {

@@ -32,7 +32,7 @@ func (o *predictiveOracle) Pick(s sched.State, j *job.Job, idle []geometry.Socke
 	got := o.memo.Pick(s, j, idle)
 	v, srv := s.Vectors(), s.Server()
 	bm := &j.Benchmark
-	dyn := func(f units.MHz) units.Watts { return bm.DynamicPowerAt(f) }
+	dyn := powerColumn(bm)
 	throttled := false
 	score := func(id geometry.SocketID) float64 {
 		f := sched.PredictSocketFrequency(v, id, dyn, srv.Sink(id))
@@ -56,6 +56,16 @@ func (o *predictiveOracle) Pick(s sched.State, j *job.Job, idle []geometry.Socke
 		o.mismatches++
 	}
 	return got
+}
+
+// powerColumn returns bm's dynamic power at each P-state, straight from
+// the benchmark: the input of the unmemoized reference searches.
+func powerColumn(bm *workload.Benchmark) []units.Watts {
+	dyn := make([]units.Watts, len(chipmodel.Frequencies))
+	for k, f := range chipmodel.Frequencies {
+		dyn[k] = bm.DynamicPowerAt(f)
+	}
+	return dyn
 }
 
 // skuServer returns a builder of the SUT with skus[(row+pos) mod len(skus)]
@@ -205,14 +215,14 @@ type cpOracle struct {
 func (o *cpOracle) Pick(s sched.State, j *job.Job, idle []geometry.SocketID) geometry.SocketID {
 	got := o.Scheduler.Pick(s, j, idle)
 	v, srv := s.Vectors(), s.Server()
-	for i, running := range v.Job {
+	for i, running := range s.(*Simulator).jobs {
 		if running == nil {
 			continue
 		}
 		id := geometry.SocketID(i)
 		bm := &running.Benchmark
-		memo := sched.LadderFreq(v.Ladder.Index(id, bm, bm.DynMax(), v.Amb[i]))
-		ref := chipmodel.PredictFrequency(v.Amb[i], bm.DynamicPowerAt, srv.Sink(id), v.Leak[i])
+		memo := sched.LadderFreq(v.Curve[i].Index(id, v.Amb[i]))
+		ref := chipmodel.PredictFrequency(v.Amb[i], powerColumn(bm), srv.Sink(id), v.Leak[i])
 		o.checked++
 		if ref < chipmodel.FMax {
 			o.throttled++
@@ -254,8 +264,8 @@ func TestPowerManagerPickMatchesReference(t *testing.T) {
 							continue
 						}
 						id := geometry.SocketID(i)
-						want := s.pickFrequencyIndexed(id)
-						uncapped := chipmodel.PredictFrequency(s.amb[i], running.Benchmark.DynamicPowerAt, s.srv.Sink(id), s.leakAt[i])
+						want := chipmodel.Frequencies[s.pickFrequencyIndexed(id)]
+						uncapped := chipmodel.PredictFrequency(s.amb[i], powerColumn(&running.Benchmark), s.srv.Sink(id), s.leakAt[i])
 						checked++
 						if uncapped > s.caps[i] {
 							capBound++
@@ -263,9 +273,9 @@ func TestPowerManagerPickMatchesReference(t *testing.T) {
 						if uncapped < chipmodel.FMax {
 							heatBound++
 						}
-						if s.freq[i] != want {
+						if s.mhz(i) != want {
 							if mismatches == 0 {
-								first = fmt.Sprintf("t=%v socket %d: freq %v, reference %v (cap %v)", now, i, s.freq[i], want, s.caps[i])
+								first = fmt.Sprintf("t=%v socket %d: freq %v, reference %v (cap %v)", now, i, s.mhz(i), want, s.caps[i])
 							}
 							mismatches++
 						}

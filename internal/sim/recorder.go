@@ -72,7 +72,7 @@ func snapshot(s *Simulator, now units.Seconds) ZoneSample {
 		// which run nothing at 0 MHz.
 		if s.jobs[sk.ID] != nil {
 			sample.Busy[z]++
-			busyFreqSum[z] += float64(s.freq[sk.ID]) / 1900
+			busyFreqSum[z] += float64(s.mhz(int(sk.ID))) / 1900
 		}
 	}
 	for z := 1; z <= depth; z++ {

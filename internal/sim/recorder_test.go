@@ -87,7 +87,7 @@ func TestRecorderSkipsDeadSockets(t *testing.T) {
 			if j != nil {
 				z := s.srv.Zone(geometry.SocketID(i))
 				busy[z]++
-				rel[z] += float64(s.freq[i]) / 1900
+				rel[z] += float64(s.mhz(i)) / 1900
 			}
 		}
 		for z := range rel {

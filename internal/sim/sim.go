@@ -257,8 +257,8 @@ func (s *Simulator) setDoneAt(i int, t units.Seconds) {
 }
 
 // refreshDoneAt recomputes socket i's cached completion instant from its
-// current job, frequency, and accounting point. Must be called after any
-// change to busy, freq, Work, or lastUpdate.
+// current job, P-state, and accounting point. Must be called after any
+// change to busy, pstate, Work, or lastUpdate.
 func (s *Simulator) refreshDoneAt(i int) {
 	s.setDoneAt(i, s.recomputeDoneAt(i))
 }
@@ -271,7 +271,7 @@ func (s *Simulator) recomputeDoneAt(i int) units.Seconds {
 	if j == nil {
 		return neverDone
 	}
-	rate := j.Benchmark.RelPerf(s.freq[i])
+	rate := s.curve[i].Perf(s.pstate[i])
 	return s.sockets[i].lastUpdate + units.Seconds(float64(j.Work)/rate)
 }
 
@@ -302,16 +302,17 @@ type Simulator struct {
 	// ranges are contiguous ID ranges), so the inner loop is cache-linear
 	// instead of striding through an array of fat structs. powers doubles as
 	// the airflow model's input vector — there is exactly one copy of each
-	// socket's draw — and jobs, amb, pewma, hist, leakAt and caps double as
-	// the schedulers' StateVectors.
-	jobs   []*job.Job      // running job (nil while idle or dead)
-	amb    []units.Celsius // socket ambient temperature (30 s lag)
-	chip   []units.Celsius // peak chip temperature (5 ms lag)
-	hist   []units.Celsius // slow EWMA for A-Random
-	util   []float64       // recent utilization for the boost budget
-	pewma  []units.Watts   // 30 s power average behind the socket temperature
-	freq   []units.MHz     // current P-state (0 while idle)
-	powers []units.Watts   // current total draw (dynamic + leakage or gated)
+	// socket's draw — and curve, amb, pewma, hist, leakAt and caps double
+	// as the schedulers' StateVectors. curve is written wherever jobs is.
+	jobs   []*job.Job           // running job (nil while idle or dead)
+	curve  []*sched.LadderCurve // the running job's curve (nil while idle or dead)
+	pstate []int                // P-state index into chipmodel.Frequencies (while busy)
+	amb    []units.Celsius      // socket ambient temperature (30 s lag)
+	chip   []units.Celsius      // peak chip temperature (5 ms lag)
+	hist   []units.Celsius      // slow EWMA for A-Random
+	util   []float64            // recent utilization for the boost budget
+	pewma  []units.Watts        // 30 s power average behind the socket temperature
+	powers []units.Watts        // current total draw (dynamic + leakage or gated)
 	// caps caches capFor(i, util[i]) — the StateVectors.Cap view, and the
 	// one per-socket cache derived from other state. Its inputs change in
 	// exactly three places, each of which refreshes it: the utilization
@@ -332,8 +333,8 @@ type Simulator struct {
 	// jobPool recycles completed jobs' allocations into later arrivals,
 	// keeping the steady-state event path allocation-free. Safe because a
 	// completed job is unreachable once completeJob's hooks return: the
-	// socket drops its pointer, the ladder search keys by benchmark value
-	// (DynMax) rather than by job, and every metrics/telemetry/checks
+	// socket drops its pointer, the ladder search interns curves by
+	// benchmark value rather than by job, and every metrics/telemetry/checks
 	// consumer copies values.
 	jobPool job.Pool
 	source  job.Source
@@ -444,6 +445,10 @@ func New(cfg Config) (*Simulator, error) {
 				tdp = sku.TDP
 			}
 			if sku.FMax > 0 {
+				// A cap must be a P-state for its index to price it.
+				if _, err := chipmodel.FreqIndex(sku.FMax); err != nil {
+					return nil, fmt.Errorf("sim: socket %d SKU: %w", i, err)
+				}
 				s.fmaxAt[i] = sku.FMax
 			}
 		}
@@ -496,7 +501,7 @@ func New(cfg Config) (*Simulator, error) {
 		s.caps[i] = s.capFor(i, s.util[i])
 	}
 	s.vec = sched.StateVectors{Amb: s.amb, Pewma: s.pewma, RExt: s.rext, Hist: s.hist,
-		Job: s.jobs, Leak: s.leakAt, Cap: s.caps, Epoch: s.laneEpoch,
+		Curve: s.curve, Leak: s.leakAt, Cap: s.caps, Epoch: s.laneEpoch,
 		Ladder: sched.NewLadderSearch(s.srv, s.leakAt)}
 	return s, nil
 }
@@ -511,10 +516,19 @@ func (s *Simulator) allocState(n int) {
 	s.hist = make([]units.Celsius, n)
 	s.util = make([]float64, n)
 	s.pewma = make([]units.Watts, n)
-	s.freq = make([]units.MHz, n)
 	s.powers = make([]units.Watts, n)
 	s.jobs = make([]*job.Job, n)
+	s.curve = make([]*sched.LadderCurve, n)
+	s.pstate = make([]int, n)
 	s.col = metrics.NewCollector()
+}
+
+// mhz returns socket i's frequency, 0 while it runs no job.
+func (s *Simulator) mhz(i int) units.MHz {
+	if s.jobs[i] == nil {
+		return 0
+	}
+	return chipmodel.Frequencies[s.pstate[i]]
 }
 
 // sched.State implementation -------------------------------------------------
@@ -807,8 +821,7 @@ func (s *Simulator) completeJob(id geometry.SocketID, t units.Seconds) {
 	if s.tel != nil {
 		s.tel.OnComplete(t, int(id), j.Done-j.Arrival, j.Done-j.Started)
 	}
-	s.jobs[id] = nil
-	s.freq[id] = 0
+	s.jobs[id], s.curve[id] = nil, nil
 	s.markIdle(int(id))
 	s.setDoneAt(int(id), neverDone)
 	s.setPower(int(id), s.idlePow(int(id)))
@@ -867,10 +880,10 @@ func (s *Simulator) placeJob(id geometry.SocketID, j *job.Job, t units.Seconds) 
 		panic(fmt.Sprintf("sim: scheduler %s picked busy socket %d", s.cfg.Scheduler.Name(), id))
 	}
 	s.advanceSocketTo(int(id), t)
-	s.jobs[id] = j
+	s.jobs[id], s.curve[id] = j, s.vec.Ladder.Curve(&j.Benchmark)
 	j.Started = t
 	s.markBusy(int(id))
-	s.freq[id] = s.pickFrequency(id)
+	s.pstate[id] = s.pickFrequency(id)
 	s.refreshDoneAt(int(id))
 	s.setPower(int(id), s.busyPower(int(id)))
 	if s.checks != nil {
@@ -881,10 +894,10 @@ func (s *Simulator) placeJob(id geometry.SocketID, j *job.Job, t units.Seconds) 
 	}
 }
 
-// busyPower returns dynamic power at the socket's frequency plus the
+// busyPower returns dynamic power at the socket's P-state plus the
 // socket's leakage at its current chip temperature.
 func (s *Simulator) busyPower(i int) units.Watts {
-	return s.jobs[i].Benchmark.DynamicPowerAt(s.freq[i]) + s.leakAt[i].At(s.chip[i])
+	return s.curve[i].Dyn(s.pstate[i]) + s.leakAt[i].At(s.chip[i])
 }
 
 // advanceSocketTo accrues work, busy-frequency time, and energy on one
@@ -896,8 +909,9 @@ func (s *Simulator) advanceSocketTo(i int, t units.Seconds) {
 		return
 	}
 	if j := s.jobs[i]; j != nil {
-		f := s.freq[i]
-		rate := j.Benchmark.RelPerf(f)
+		k := s.pstate[i]
+		f := chipmodel.Frequencies[k]
+		rate := s.curve[i].Perf(k)
 		consumed := units.Seconds(float64(dt) * rate)
 		j.Work -= consumed
 		var clipped units.Seconds
@@ -998,11 +1012,11 @@ func (s *Simulator) powerManagerTickSerial(dt units.Seconds) {
 		// 5) DVFS re-pick for busy sockets; refresh power either way. The
 		// cached completion instant only moves when the P-state does.
 		if busy {
-			if f := s.pickFrequencyIndexed(id); f != s.freq[i] {
+			if k := s.pickFrequencyIndexed(id); k != s.pstate[i] {
 				if s.tel != nil {
-					s.tel.OnThrottle(s.now, i, s.freq[i], f)
+					s.tel.OnThrottle(s.now, i, chipmodel.Frequencies[s.pstate[i]], chipmodel.Frequencies[k])
 				}
-				s.freq[i] = f
+				s.pstate[i] = k
 				s.refreshDoneAt(i)
 			}
 			s.powers[i] = s.busyPower(i)
@@ -1104,12 +1118,11 @@ func (s *Simulator) auditEngineCaches() {
 // converges in a handful of steps. Idle sockets draw the fixed gated power
 // with no leakage feedback, so their target is already the fixed point.
 func (s *Simulator) settledChipTemp(i int, sink chipmodel.Sink) units.Celsius {
-	j := s.jobs[i]
-	if j == nil {
+	if s.jobs[i] == nil {
 		return chipmodel.PeakTemp(s.amb[i], s.idlePow(i), sink)
 	}
 	leak := s.leakAt[i]
-	dyn := j.Benchmark.DynamicPowerAt(s.freq[i])
+	dyn := s.curve[i].Dyn(s.pstate[i])
 	t := s.chip[i]
 	for k := 0; k < 64; k++ {
 		nt := chipmodel.PeakTemp(s.amb[i], dyn+leak.At(t), sink)
@@ -1128,18 +1141,15 @@ func (s *Simulator) settledChipTemp(i int, sink chipmodel.Sink) units.Celsius {
 // Using the steady prediction rather than the transient chip temperature
 // keeps the policy conservative — a millisecond job cannot outrun the
 // thermal model — and makes the power manager agree exactly with the
-// schedulers' frequency predictor.
-func (s *Simulator) pickFrequencyIndexed(id geometry.SocketID) units.MHz {
-	ambient, b := s.amb[id], &s.jobs[id].Benchmark
+// schedulers' frequency predictor. It returns the P-state index, the
+// floor's when none is admissible.
+func (s *Simulator) pickFrequencyIndexed(id geometry.SocketID) int {
+	ambient, c := s.amb[id], s.curve[id]
 	sink, leak := s.srv.Sink(id), s.leakAt[id]
 	i := chipmodel.HighestAdmissible(chipmodel.CapIndex(s.capFor(int(id), s.util[id])), func(i int) bool {
-		dyn := b.DynamicPowerAt(chipmodel.Frequencies[i])
-		return chipmodel.PredictTwoStep(ambient, dyn, sink, leak) <= chipmodel.TempLimit
+		return chipmodel.PredictTwoStep(ambient, c.Dyn(i), sink, leak) <= chipmodel.TempLimit
 	})
-	if i < 0 {
-		return chipmodel.FMin
-	}
-	return chipmodel.Frequencies[i]
+	return max(i, 0)
 }
 
 // Arrived returns the number of jobs admitted.

@@ -57,12 +57,15 @@ func smallConfig(schedName string, load float64, class workload.Class) Config {
 
 func TestConfigValidation(t *testing.T) {
 	cf, _ := sched.ByName("CF", 1)
+	offLadder := geometry.SUT()
+	offLadder.SetSKU(0, chipmodel.SKU{FMax: 1600})
 	cases := []Config{
 		{},                           // no scheduler
 		{Scheduler: cf},              // no duration
 		{Scheduler: cf, Duration: 1}, // no mix/source
 		{Scheduler: cf, Duration: 1, Mix: workload.ClassMix(workload.Storage), Load: -1},
 		{Scheduler: cf, Duration: 1, Mix: workload.ClassMix(workload.Storage), Load: 0.5, Warmup: 2},
+		{Scheduler: cf, Duration: 1, Mix: workload.ClassMix(workload.Storage), Load: 0.5, Server: offLadder}, // SKU cap between P-states
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -433,10 +436,10 @@ func TestBusySocketsAlwaysAtValidPState(t *testing.T) {
 	cfg.Probe = func(s *Simulator, now units.Seconds) {
 		for _, sk := range s.Server().Sockets() {
 			if s.Busy(sk.ID) {
-				if !valid[s.freq[sk.ID]] {
+				if !valid[s.mhz(int(sk.ID))] {
 					violations++
 				}
-			} else if s.freq[sk.ID] != 0 {
+			} else if s.mhz(int(sk.ID)) != 0 {
 				violations++
 			}
 			if s.amb[sk.ID] < s.Airflow().Inlet()-0.01 {

@@ -32,7 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"densim/internal/chipmodel"
 	"densim/internal/geometry"
@@ -98,10 +97,10 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 // simulator must have been built from an equivalent Config (equal cfgSig;
 // Duration and DrainLimit may differ). The payload is decoded twice: first
 // into a throwaway staging simulator, a pass that does all the validation,
-// and only then into this one. Every derived structure — completion heap,
-// idle set, caps, airflow model, lane epochs and dirty flags — is then
-// rebuilt; the ladder search is value-keyed, so it needs no reset. On any
-// validation failure the simulator is left untouched.
+// and only then into this one. Every derived structure — busy sockets'
+// curves, completion heap, idle set, caps, airflow model, lane epochs and
+// dirty flags — is then rebuilt; the ladder search is value-keyed, so it
+// needs no reset. On any validation failure the simulator is left untouched.
 func (s *Simulator) Restore(data []byte) error {
 	if err := s.snapshotable(); err != nil {
 		return err
@@ -148,8 +147,10 @@ func (s *Simulator) Restore(data []byte) error {
 	}
 	for i := range s.sockets {
 		s.comp.update(i, s.sockets[i].doneAt)
+		s.curve[i] = nil
 		switch {
 		case s.jobs[i] != nil:
+			s.curve[i] = s.vec.Ladder.Curve(&s.jobs[i].Benchmark)
 			s.busyCount++
 		case s.flt != nil && s.flt.dead[i]:
 			s.flt.deadCount++ // neither busy nor idle: never a candidate
@@ -243,7 +244,9 @@ func (c *snapCodec) state(t *Simulator, src sourceSnapshotter, rng sched.RNGCarr
 		} else if !c.enc {
 			t.jobs[i] = nil
 		}
-		f64(c, &t.freq[i])
+		// The P-state travels as its frequency in MHz, 0 while idle.
+		f := t.mhz(i)
+		f64(c, &f)
 		f64(c, &t.amb[i])
 		f64(c, &t.chip[i])
 		f64(c, &t.hist[i])
@@ -258,11 +261,15 @@ func (c *snapCodec) state(t *Simulator, src sourceSnapshotter, rng sched.RNGCarr
 		// that instant (its remaining work is clipped at zero); an idle or
 		// dead one has no frequency and never completes.
 		c.check(finite(st.lastUpdate) && st.lastUpdate <= t.now, "sim: snapshot socket %d accounted to %v, clock %v", i, st.lastUpdate, t.now)
+		k, err := chipmodel.FreqIndex(f)
 		if busy {
-			c.check(slices.Contains(chipmodel.Frequencies, t.freq[i]), "sim: snapshot busy socket %d at %v, not a ladder point", i, t.freq[i])
+			c.check(err == nil, "sim: snapshot busy socket %d at %v, not a ladder point", i, f)
 			c.check(st.doneAt >= st.lastUpdate, "sim: snapshot busy socket %d completes at %v, before %v", i, st.doneAt, st.lastUpdate)
 		} else {
-			c.check(t.freq[i] == 0 && st.doneAt == neverDone, "sim: snapshot idle socket %d at %v completing at %v", i, t.freq[i], st.doneAt)
+			c.check(f == 0 && st.doneAt == neverDone, "sim: snapshot idle socket %d at %v completing at %v", i, f, st.doneAt)
+		}
+		if !c.enc {
+			t.pstate[i] = k
 		}
 	}
 	// Pending queue, FIFO order.
@@ -501,6 +508,8 @@ func (c *snapCodec) str(p *string) {
 	}
 }
 
+// bench codes a job's benchmark, which must lie in the domain where the
+// curve resolved from it is finite and positive.
 func (c *snapCodec) bench(b *workload.Benchmark) {
 	c.str(&b.Name)
 	u32(c, &b.Class)
@@ -508,6 +517,10 @@ func (c *snapCodec) bench(b *workload.Benchmark) {
 	f64(c, &b.PowerAt90C)
 	f64(c, &b.FreqSensitivity)
 	f64(c, &b.SocketTDP)
+	c.check(finite(b.MeanDuration) && b.MeanDuration >= 0 && finite(b.SocketTDP) && b.SocketTDP >= 0 &&
+		finite(b.PowerAt90C) && b.DynMax() > 0 && b.FreqSensitivity >= 0 && b.FreqSensitivity <= 1,
+		"sim: snapshot benchmark %q outside the model's domain (mean duration %v, %v at 90C, frequency sensitivity %v, socket TDP %v)",
+		b.Name, b.MeanDuration, b.PowerAt90C, b.FreqSensitivity, b.SocketTDP)
 }
 
 // job codes a job record; decoding allocates the job.

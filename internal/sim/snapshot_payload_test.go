@@ -278,7 +278,7 @@ func TestSnapshotRejectsForgedFaultRuntime(t *testing.T) {
 func socketFields(t *testing.T, s *Simulator, payload []byte, i int) int {
 	t.Helper()
 	st := s.sockets[i]
-	return locate(t, payload, le(float64(s.freq[i]), float64(s.amb[i]), float64(s.chip[i]), float64(s.hist[i]),
+	return locate(t, payload, le(float64(s.mhz(i)), float64(s.amb[i]), float64(s.chip[i]), float64(s.hist[i]),
 		s.util[i], float64(s.pewma[i]), float64(s.powers[i]), float64(st.lastUpdate), float64(st.doneAt)))
 }
 
@@ -359,6 +359,57 @@ func TestSnapshotRejectsForgedFrequency(t *testing.T) {
 		{"busy at 1234 MHz", b, le(1234.0)},
 		{"busy at NaN", b, le(math.NaN())},
 		{"idle at 1100 MHz", i, le(1100.0)},
+	})
+}
+
+// TestSnapshotRejectsForgedBenchmark pins that every job's benchmark, running
+// or queued, lies in the model's domain. A running job's 90C power of NaN
+// used to be accepted and spread NaN through the power and ambient fields,
+// a frequency sensitivity of NaN left a busy socket completing at NaN in
+// the completion heap, and a sensitivity of -5 was accepted silently.
+func TestSnapshotRejectsForgedBenchmark(t *testing.T) {
+	s, header, payload, busy, _ := floatCapture(t)
+	// The benchmark's four floats precede the job's five and the socket's
+	// nine: mean duration, 90C power, frequency sensitivity, socket TDP.
+	b := socketFields(t, s, payload, busy) - 9*8
+	expectRejected(t, func() Config { return snapConfig(t, "CP", EngineConfig{}) }, header, payload, 1<<20, []forgery{
+		{"running mean duration -1", b, le(-1.0)},
+		{"running mean duration NaN", b, le(math.NaN())},
+		{"running power NaN", b + 8, le(math.NaN())},
+		{"running power +Inf", b + 8, le(math.Inf(1))},
+		{"running power below the leakage", b + 8, le(1.0)},
+		{"running sensitivity NaN", b + 16, le(math.NaN())},
+		{"running sensitivity -5", b + 16, le(-5.0)},
+		{"running sensitivity 1.5", b + 16, le(1.5)},
+		{"running socket TDP -1", b + 24, le(-1.0)},
+		{"running socket TDP +Inf", b + 24, le(math.Inf(1))},
+	})
+
+	overload := func() Config {
+		cfg := snapConfig(t, "A-Random", EngineConfig{})
+		cfg.Load = 1.6
+		return cfg
+	}
+	s, err := New(overload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunTo(0.2)
+	if s.queue.Len() == 0 {
+		t.Fatal("capture has no queued job")
+	}
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, payload = splitCapture(data)
+	j := s.queue.At(0)
+	q := locate(t, payload, le(float64(j.Benchmark.MeanDuration), float64(j.Benchmark.PowerAt90C),
+		j.Benchmark.FreqSensitivity, float64(j.Benchmark.SocketTDP), float64(j.Arrival)))
+	expectRejected(t, overload, header, payload, 1<<20, []forgery{
+		{"queued mean duration +Inf", q, le(math.Inf(1))},
+		{"queued power NaN", q + 8, le(math.NaN())},
+		{"queued sensitivity -5", q + 16, le(-5.0)},
 	})
 }
 

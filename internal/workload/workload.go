@@ -112,20 +112,12 @@ func (b Benchmark) DynamicPowerAt(f units.MHz) units.Watts {
 	return units.Watts(dynMax * r * r * r)
 }
 
-// DynMax returns the dynamic power at FMax — the single scalar that, with
-// the shared frequency ladder, fully determines the benchmark's dynamic-
-// power curve: DynamicPowerAt(f) = DynMax * (f/FMax)^3. Two benchmarks with
-// bit-equal DynMax values are interchangeable for every power-only
-// computation, which is what lets caches key predictions by DynMax bits
-// instead of benchmark identity.
+// DynMax returns the dynamic power at FMax, which with the shared frequency
+// ladder fully determines the benchmark's dynamic-power curve:
+// DynamicPowerAt(f) = DynMax * (f/FMax)^3.
 func (b Benchmark) DynMax() units.Watts {
 	leak90 := chipmodel.LeakageFracAtRef * float64(b.TDPW())
 	return units.Watts(float64(b.PowerAt90C) - leak90)
-}
-
-// DynamicPower returns the DynamicPowerFn form for the DVFS picker.
-func (b Benchmark) DynamicPower() chipmodel.DynamicPowerFn {
-	return b.DynamicPowerAt
 }
 
 // RelPerf returns performance at frequency f relative to FMax, using the
